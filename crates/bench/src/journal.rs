@@ -1,13 +1,14 @@
 //! The sweep journal: crash-safe checkpoint/resume for `tmcc-bench`.
 //!
-//! Every completed simulation run (one `SweepCtx::try_run` inside an
-//! experiment's config grid) appends one self-checking record to
-//! `<out>/.journal/sweep.journal`. A sweep killed mid-flight — OOM, CI
-//! timeout, SIGKILL — is resumed with `tmcc-bench run-all --resume`: runs
-//! whose records survive are *replayed* from the journal (the decoded
-//! [`tmcc::RunReport`] is bit-exact, so the regenerated `results/*.json`
-//! are byte-identical to an uninterrupted sweep), and only the remainder
-//! is simulated.
+//! Every completed simulation run (one pass of the sweep's journaled
+//! point runner inside an experiment's config grid) appends one
+//! self-checking record to `<out>/.journal/sweep.journal`. A sweep killed
+//! mid-flight — OOM, CI timeout, SIGKILL — is resumed with `tmcc-bench
+//! run-all --resume`: runs whose records survive are *replayed* from the
+//! journal (the decoded record — a [`tmcc::RunReport`], a
+//! [`tmcc::MultiTenantReport`], or a capacity `{report, probe}` pair — is
+//! bit-exact, so the regenerated `results/*.json` are byte-identical to
+//! an uninterrupted sweep), and only the remainder is simulated.
 //!
 //! # Format
 //!
@@ -175,10 +176,10 @@ pub use tmcc_types::crc32::crc32;
 pub struct JournalRecord {
     /// Registry name of the experiment that ran the point.
     pub experiment: String,
-    /// Fingerprint of the tuned config + access count (see
-    /// `SweepCtx::try_run`).
+    /// Fingerprint of the point family's key prefix, the tuned config and
+    /// the access count (see `sweep::point_key`).
     pub key: u64,
-    /// The run's report as compact JSON (decoded lazily on replay).
+    /// The run's record as compact JSON (decoded lazily on replay).
     pub json: String,
 }
 
@@ -373,11 +374,6 @@ impl SweepJournal {
                 std::process::exit(EXIT_AFTER_POINTS_CODE);
             }
         }
-    }
-
-    /// Points appended by this process (excludes replayed ones).
-    pub fn appended_points(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
     }
 }
 

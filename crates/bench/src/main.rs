@@ -8,9 +8,9 @@
 //!                          [--resume] [--retries N]
 //! ```
 //!
-//! `run-all` executes every registered experiment and writes the same
-//! per-figure `results/*.json` files the standalone binaries write —
-//! byte-identically at any `--jobs` count — plus a consolidated
+//! `run-all` executes every registered experiment and writes one
+//! `results/<name>.json` per experiment — byte-identically at any
+//! `--jobs` count — plus a consolidated
 //! `results/BENCH_sweep.json` with wall-clock, accesses simulated and
 //! accesses/sec per experiment. `--profile` additionally collects the
 //! simulator's host-time phase split (workload / translation / data /
@@ -37,8 +37,8 @@ use tmcc_bench::journal::{JournalMeta, ResumeState, SweepJournal};
 use tmcc_bench::perf_gate;
 use tmcc_bench::registry::{self, Experiment};
 use tmcc_bench::sweep::{
-    resolve_jobs, ExperimentTiming, PointAborted, PointReplayDone, Scale, SweepCtx, SweepSummary,
-    DEFAULT_RETRIES,
+    add_profile, ExperimentTiming, PointAborted, PointReplayDone, Scale, Sweep, SweepCtx,
+    SweepSummary, DEFAULT_RETRIES,
 };
 use tmcc_bench::watchdog::Watchdog;
 
@@ -125,78 +125,59 @@ fn parse_options(args: &[String]) -> Options {
     opts
 }
 
-/// The shared crash-safety plumbing of one sweep invocation.
-struct Harness {
-    journal: Arc<SweepJournal>,
-    watchdog: Arc<Watchdog>,
-    failures: Arc<FailureSink>,
-}
-
-impl Harness {
-    /// Opens the journal (resuming if asked), starts the watchdog.
-    fn new(opts: &Options) -> Self {
-        let meta = JournalMeta::current(opts.scale);
-        let journal = if opts.resume {
-            match SweepJournal::open_resume(&opts.out, &meta) {
-                Ok((journal, state)) => {
-                    match state {
-                        ResumeState::Fresh => {
-                            println!("[resume] no journal found; starting cold");
-                        }
-                        ResumeState::Resumed { records, dropped_tail } => {
-                            println!(
-                                "[resume] replaying {records} completed point(s) from {}{}",
-                                journal.path().display(),
-                                if dropped_tail { " (torn tail dropped)" } else { "" }
-                            );
-                        }
-                        ResumeState::Invalidated { field } => {
-                            println!(
-                                "[resume] journal {field} mismatch (different build, scale, or \
-                                 tuning); starting cold"
-                            );
-                        }
+/// Opens the sweep journal (resuming if asked), starts the watchdog, and
+/// builds the worker pool every experiment's context shares.
+fn open_sweep(opts: &Options) -> Arc<Sweep> {
+    let meta = JournalMeta::current(opts.scale);
+    let journal = if opts.resume {
+        match SweepJournal::open_resume(&opts.out, &meta) {
+            Ok((journal, state)) => {
+                match state {
+                    ResumeState::Fresh => {
+                        println!("[resume] no journal found; starting cold");
                     }
-                    journal
+                    ResumeState::Resumed { records, dropped_tail } => {
+                        println!(
+                            "[resume] replaying {records} completed point(s) from {}{}",
+                            journal.path().display(),
+                            if dropped_tail { " (torn tail dropped)" } else { "" }
+                        );
+                    }
+                    ResumeState::Invalidated { field } => {
+                        println!(
+                            "[resume] journal {field} mismatch (different build, scale, or \
+                             tuning); starting cold"
+                        );
+                    }
                 }
-                Err(e) => {
-                    eprintln!("cannot resume: {e}");
-                    std::process::exit(1);
-                }
+                journal
             }
-        } else {
-            match SweepJournal::open_fresh(&opts.out, &meta) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("cannot open sweep journal: {e}");
-                    std::process::exit(1);
-                }
+            Err(e) => {
+                eprintln!("cannot resume: {e}");
+                std::process::exit(1);
             }
-        };
-        Self {
-            journal: Arc::new(journal),
-            watchdog: Arc::new(Watchdog::new()),
-            failures: Arc::new(FailureSink::new()),
         }
-    }
-
-    /// A context wired to the shared journal/watchdog/sink for one
-    /// experiment.
-    fn ctx_for(
-        &self,
-        e: &Experiment,
-        opts: &Options,
-        jobs: usize,
-        pool: Arc<rayon::ThreadPool>,
-    ) -> SweepCtx {
-        SweepCtx::with_pool(opts.scale, jobs, opts.out.clone(), opts.profile, pool)
-            .for_experiment(e.name, e.budget_weight)
-            .with_retries(opts.retries)
-            .with_point(opts.point)
-            .with_journal(Arc::clone(&self.journal))
-            .with_watchdog(Arc::clone(&self.watchdog))
-            .with_failures(Arc::clone(&self.failures))
-    }
+    } else {
+        match SweepJournal::open_fresh(&opts.out, &meta) {
+            Ok(j) => j,
+            Err(e) => {
+                eprintln!("cannot open sweep journal: {e}");
+                std::process::exit(1);
+            }
+        }
+    };
+    Arc::new(Sweep {
+        scale: opts.scale,
+        out_dir: opts.out.clone(),
+        profile: opts.profile,
+        retries: opts.retries,
+        only_point: opts.point,
+        // Zero threads means one per available CPU.
+        pool: ThreadPoolBuilder::new().num_threads(opts.jobs).build().expect("pool"),
+        journal,
+        watchdog: Watchdog::new(),
+        failures: FailureSink::new(),
+    })
 }
 
 /// Runs one experiment through its context, isolating panics: a point
@@ -240,30 +221,14 @@ fn run_one(e: &Experiment, ctx: &SweepCtx) -> ExperimentTiming {
     }
 }
 
-/// Runs `experiments` sequentially, one context each, timing each.
-fn run_suite_serial(
-    experiments: &[Experiment],
-    opts: &Options,
-    harness: &Harness,
-) -> (Vec<ExperimentTiming>, PhaseProfile) {
-    let pool = Arc::new(ThreadPoolBuilder::new().num_threads(1).build().expect("pool"));
-    let mut timings = Vec::new();
-    let mut profile = PhaseProfile::default();
-    for e in experiments {
-        let ctx = harness.ctx_for(e, opts, 1, Arc::clone(&pool));
-        timings.push(run_one(e, &ctx));
-        if let Some(p) = ctx.profile() {
-            accumulate_profile(&mut profile, &p);
-        }
-    }
-    (timings, profile)
-}
-
-/// Runs `experiments` as tasks on one shared work-stealing pool: every
-/// experiment is spawned up front, each with its own context (so access
-/// counters stay per-experiment) over the same pool, and the pool
-/// saturates its workers across experiment boundaries — an experiment's
-/// inner grid chunks fill the gaps left by another's stragglers.
+/// Runs `experiments`, timing each; returns the consolidated summary.
+///
+/// With one worker they run one after another. Otherwise they run as
+/// tasks on the sweep's shared work-stealing pool: every experiment is
+/// spawned up front, each with its own context (so access counters stay
+/// per-experiment), and the pool saturates its workers across experiment
+/// boundaries — an experiment's inner grid chunks fill the gaps left by
+/// another's stragglers.
 ///
 /// Results land in per-experiment slots indexed by registry position, so
 /// the summary (and every `results/*.json`) keeps registry order no
@@ -272,58 +237,38 @@ fn run_suite_serial(
 /// sum to more than the suite's wall clock. Panics never reach the
 /// shared pool's scope join — [`run_one`] catches them at the experiment
 /// boundary, so one failing experiment cannot poison the batch.
-fn run_suite_parallel(
-    experiments: &[Experiment],
-    opts: &Options,
-    harness: &Harness,
-    jobs: usize,
-) -> (Vec<ExperimentTiming>, PhaseProfile) {
-    let pool = Arc::new(ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool"));
-    let ctxs: Vec<SweepCtx> =
-        experiments.iter().map(|e| harness.ctx_for(e, opts, jobs, Arc::clone(&pool))).collect();
-    let slots: Vec<Mutex<Option<ExperimentTiming>>> =
-        experiments.iter().map(|_| Mutex::new(None)).collect();
-    pool.scope(|scope| {
-        for (i, e) in experiments.iter().enumerate() {
-            let ctx = &ctxs[i];
-            let slot = &slots[i];
-            scope.spawn(move || {
-                *slot.lock().expect("timing slot") = Some(run_one(e, ctx));
-            });
-        }
-    });
-    let timings = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("timing slot").expect("experiment ran"))
-        .collect();
-    let mut profile = PhaseProfile::default();
-    for p in ctxs.iter().filter_map(SweepCtx::profile) {
-        accumulate_profile(&mut profile, &p);
-    }
-    (timings, profile)
-}
-
-fn accumulate_profile(acc: &mut PhaseProfile, p: &PhaseProfile) {
-    acc.steps += p.steps;
-    acc.workload_ns += p.workload_ns;
-    acc.translation_ns += p.translation_ns;
-    acc.data_ns += p.data_ns;
-    acc.maintenance_ns += p.maintenance_ns;
-}
-
-/// Runs `experiments`, timing each; returns the consolidated summary.
-fn run_suite(experiments: &[Experiment], opts: &Options, harness: &Harness) -> SweepSummary {
-    let jobs = resolve_jobs(opts.jobs);
+fn run_suite(experiments: &[Experiment], sweep: &Arc<Sweep>) -> SweepSummary {
+    let jobs = sweep.pool.current_num_threads();
     let suite_start = Instant::now();
-    let (timings, profile) = if jobs <= 1 {
-        run_suite_serial(experiments, opts, harness)
+    let ctxs: Vec<SweepCtx> = experiments
+        .iter()
+        .map(|e| SweepCtx::new(Arc::clone(sweep), e.name, e.budget_weight))
+        .collect();
+    let timings: Vec<ExperimentTiming> = if jobs <= 1 {
+        experiments.iter().zip(&ctxs).map(|(e, ctx)| run_one(e, ctx)).collect()
     } else {
-        run_suite_parallel(experiments, opts, harness, jobs)
+        let slots: Vec<Mutex<Option<ExperimentTiming>>> =
+            experiments.iter().map(|_| Mutex::new(None)).collect();
+        sweep.pool.scope(|scope| {
+            for ((e, ctx), slot) in experiments.iter().zip(&ctxs).zip(&slots) {
+                scope.spawn(move || {
+                    *slot.lock().expect("timing slot") = Some(run_one(e, ctx));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("timing slot").expect("experiment ran"))
+            .collect()
     };
     let total_wall = suite_start.elapsed();
+    let mut profile = PhaseProfile::default();
+    for p in ctxs.iter().filter_map(SweepCtx::profile) {
+        add_profile(&mut profile, &p);
+    }
     let total_accesses: u64 = timings.iter().map(|t| t.accesses_simulated).sum();
     SweepSummary {
-        scale: opts.scale.name(),
+        scale: sweep.scale.name(),
         jobs,
         experiments: timings,
         total_wall_ms: total_wall.as_secs_f64() * 1e3,
@@ -372,10 +317,10 @@ fn print_summary(summary: &SweepSummary) {
 
 /// Writes `FAILURES.json` (or removes a stale one) and exits non-zero
 /// when anything was quarantined.
-fn finish(harness: &Harness, opts: &Options) {
-    let quarantined = harness.failures.finalize(&opts.out);
+fn finish(sweep: &Sweep) {
+    let quarantined = sweep.failures.finalize(&sweep.out_dir);
     if quarantined > 0 {
-        eprintln!("tmcc-bench: {}", harness.failures.summary_line());
+        eprintln!("tmcc-bench: {}", sweep.failures.summary_line());
         std::process::exit(1);
     }
 }
@@ -417,10 +362,10 @@ fn main() {
                 eprintln!("--point replays one grid point; name exactly one experiment\n");
                 usage();
             }
-            let harness = Harness::new(&opts);
-            let summary = run_suite(&experiments, &opts, &harness);
+            let sweep = open_sweep(&opts);
+            let summary = run_suite(&experiments, &sweep);
             print_summary(&summary);
-            finish(&harness, &opts);
+            finish(&sweep);
             if opts.point.is_some() && summary.experiments.iter().any(|t| t.status != "replayed") {
                 // An out-of-range point aborts without quarantining
                 // anything; the replay still failed.
@@ -437,8 +382,8 @@ fn main() {
                 eprintln!("--point requires `run` with a single experiment\n");
                 usage();
             }
-            let harness = Harness::new(&opts);
-            let summary = run_suite(&registry::all(), &opts, &harness);
+            let sweep = open_sweep(&opts);
+            let summary = run_suite(&registry::all(), &sweep);
             print_summary(&summary);
             let _ = std::fs::create_dir_all(&opts.out);
             let path = opts.out.join("BENCH_sweep.json");
@@ -450,7 +395,7 @@ fn main() {
                 }
                 Err(e) => eprintln!("could not serialize sweep summary: {e}"),
             }
-            finish(&harness, &opts);
+            finish(&sweep);
         }
         "perf-gate" => {
             let mut baseline = None;

@@ -1,40 +1,41 @@
-//! The shared sweep harness behind `tmcc-bench` and the per-figure
-//! binaries.
+//! The shared sweep harness behind `tmcc-bench`.
 //!
-//! Every experiment runs through a [`SweepCtx`]: it supplies the run
-//! [`Scale`], a worker pool for [`SweepCtx::par_map`] grids, the JSON
-//! output directory, and global counters (accesses simulated, optional
-//! host-time phase profile). Determinism is by construction — each config
+//! Every experiment runs through a [`SweepCtx`] within one [`Sweep`]: it
+//! supplies the run [`Scale`], a worker pool for [`SweepCtx::par_map`]
+//! grids, the JSON output directory, and per-experiment counters
+//! (accesses simulated, optional host-time phase profile). Determinism is by construction — each config
 //! point carries its own seed, `par_map` returns results in input order
 //! regardless of scheduling, and the JSON emitters consume those ordered
 //! results — so `--jobs 1` and `--jobs N` produce byte-identical
-//! per-figure files.
+//! `results/<name>.json` files.
 //!
 //! # Failure isolation (DESIGN.md §6.2)
 //!
-//! Under `tmcc-bench`, every `par_map` point runs inside a
-//! `catch_unwind` ring: a panicking, erroring, or timed-out point is
+//! Every `par_map` point runs inside a `catch_unwind` ring: a panicking, erroring, or timed-out point is
 //! retried up to `--retries` times (each retry deterministically
 //! re-seeded in [`SweepCtx::tune`]), and a point that exhausts its
 //! retries is quarantined into `results/FAILURES.json` — its experiment
-//! aborts, the rest of the fleet keeps running. The sweep journal
-//! ([`crate::journal`]) makes completed points replayable after a crash;
-//! the watchdog ([`crate::watchdog`]) cancels points that exceed their
-//! deadline through the simulator's cooperative [`RunHandle`].
+//! aborts, the rest of the fleet keeps running. Every simulation a point
+//! runs goes through one journaled runner (`SweepCtx::run_journaled`):
+//! the sweep journal ([`crate::journal`]) makes completed runs replayable
+//! after a crash, and the watchdog ([`crate::watchdog`]) cancels runs
+//! that exceed their deadline — construction included — through the
+//! simulator's cooperative [`RunHandle`].
 
 use crate::failures::{FailPoint, FailureCause, FailureSink, PointFailure};
 use crate::journal::{fingerprint, SweepJournal};
 use crate::watchdog::{effective_budget, Watchdog};
 use crate::DEFAULT_ACCESSES;
 use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
+use rayon::ThreadPool;
 use serde::Serialize;
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tmcc::config::TmccToggles;
 use tmcc::{
@@ -138,15 +139,6 @@ impl Scale {
 /// Default `--retries`: attempts per point = retries + 1.
 pub const DEFAULT_RETRIES: u32 = 2;
 
-/// Resolves a `--jobs` request: 0 means one worker per available CPU.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
 /// A point's retry state, visible to [`SweepCtx::tune`] on the worker
 /// thread executing the point.
 #[derive(Debug, Clone, Copy, Default)]
@@ -168,7 +160,7 @@ thread_local! {
     static LAST_POINT_SEED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Panic payload for a watchdog-cancelled run; [`SweepCtx::try_run`]
+/// Panic payload for a watchdog-cancelled run; the journaled runner
 /// throws it so timeouts route through the same retry ring as panics,
 /// even for callers that match on `Result` (the robustness sweep).
 struct PointTimeout {
@@ -185,26 +177,44 @@ pub struct PointAborted;
 /// results, and `tmcc-bench` reports the replay as a success.
 pub struct PointReplayDone;
 
-/// Shared context for one sweep invocation.
+/// One `tmcc-bench` invocation: its run settings, the worker pool, and
+/// the crash-safety plumbing every experiment's [`SweepCtx`] shares.
 ///
-/// The worker pool is shared (`Arc`): the `run-all` scheduler builds one
-/// pool and hands it to every experiment's context, so inner `par_map`
-/// grids from different experiments feed the same work-stealing deques.
-/// Journal, watchdog, and failure sink are likewise shared across the
-/// per-experiment contexts of a `run-all`.
+/// The pool is shared so the `run-all` scheduler's experiments feed the
+/// same work-stealing deques; the journal, watchdog, and failure sink are
+/// shared so one file, one deadline thread, and one quarantine report
+/// cover the whole fleet.
+pub struct Sweep {
+    /// Run scale of every experiment.
+    pub scale: Scale,
+    /// Output directory for `results/<name>.json`.
+    pub out_dir: PathBuf,
+    /// Collect the simulator's host-time phase profile (`--profile`).
+    pub profile: bool,
+    /// Per-point retry count (attempts = retries + 1).
+    pub retries: u32,
+    /// `--point`: run only this index of the experiment's first grid
+    /// through the normal retry ring, then stop with [`PointReplayDone`]
+    /// instead of emitting partial results — the standalone replay for a
+    /// `FAILURES.json` entry.
+    pub only_point: Option<usize>,
+    /// The worker pool behind [`SweepCtx::par_map`] and
+    /// [`SweepCtx::seq_map`]; its thread count is the sweep's `--jobs`.
+    pub pool: ThreadPool,
+    /// Completed points are appended; journaled points replay.
+    pub journal: SweepJournal,
+    /// Gives every point a cancellation deadline.
+    pub watchdog: Watchdog,
+    /// Collects points that exhausted their retries.
+    pub failures: FailureSink,
+}
+
+/// One experiment's context within a [`Sweep`]: the shared settings plus
+/// this experiment's name, deadline class, and counters.
 pub struct SweepCtx {
-    scale: Scale,
-    jobs: usize,
-    pool: Arc<ThreadPool>,
-    out_dir: PathBuf,
-    profile_enabled: bool,
+    sweep: Arc<Sweep>,
     experiment: &'static str,
     budget_weight: f64,
-    retries: u32,
-    only_point: Option<usize>,
-    journal: Option<Arc<SweepJournal>>,
-    watchdog: Option<Arc<Watchdog>>,
-    failures: Option<Arc<FailureSink>>,
     accesses: AtomicU64,
     /// Summed worker time spent executing this experiment's points. Under
     /// the shared `run-all` pool an experiment's *span* includes time its
@@ -212,120 +222,101 @@ pub struct SweepCtx {
     /// is schedule-dependent; busy time is not.
     busy_ns: AtomicU64,
     points_replayed: AtomicU64,
-    prof_steps: AtomicU64,
-    prof_workload_ns: AtomicU64,
-    prof_translation_ns: AtomicU64,
-    prof_data_ns: AtomicU64,
-    prof_maintenance_ns: AtomicU64,
+    profile: Mutex<PhaseProfile>,
+}
+
+/// Journal key prefixes, one per point family, so records of different
+/// families can never shadow one another (an integrity-storm config
+/// differs from a plain run's only by its flip plan).
+const PLAIN: &str = "";
+const INTEGRITY: &str = "int|";
+const MULTI_TENANT: &str = "mt|";
+const CAPACITY: &str = "cap|";
+
+/// The journal key of one point: its family prefix, the tuned config's
+/// `Debug` form, and the measured access count.
+fn point_key(prefix: &str, cfg: &impl fmt::Debug, accesses: u64) -> u64 {
+    fingerprint(&format!("{prefix}{cfg:?}|{accesses}"))
+}
+
+/// A point family's journal record: serialized compactly on append and
+/// decoded bit-exactly on replay, so replayed points feed downstream JSON
+/// byte-identically.
+trait PointRecord: Serialize + Sized {
+    fn from_value(v: &serde::Value) -> Result<Self, String>;
+}
+
+impl PointRecord for RunReport {
+    fn from_value(v: &serde::Value) -> Result<Self, String> {
+        RunReport::from_value(v)
+    }
+}
+
+impl PointRecord for MultiTenantReport {
+    fn from_value(v: &serde::Value) -> Result<Self, String> {
+        MultiTenantReport::from_value(v)
+    }
+}
+
+/// A capacity point's record: the report plus the host-side
+/// measurements a plain [`RunReport`] cannot express.
+#[derive(Serialize)]
+struct CapacityRecord {
+    report: RunReport,
+    probe: CapacityProbe,
+}
+
+impl PointRecord for CapacityRecord {
+    fn from_value(v: &serde::Value) -> Result<Self, String> {
+        let mut f = serde::FieldReader::open(v, "CapacityRecord")?;
+        let report = RunReport::from_value(f.value("report")?)?;
+        let probe = CapacityProbe::from_value(f.value("probe")?)?;
+        f.finish()?;
+        Ok(Self { report, probe })
+    }
+}
+
+/// Folds one phase profile into an accumulator.
+pub fn add_profile(acc: &mut PhaseProfile, p: &PhaseProfile) {
+    acc.steps += p.steps;
+    acc.workload_ns += p.workload_ns;
+    acc.translation_ns += p.translation_ns;
+    acc.data_ns += p.data_ns;
+    acc.maintenance_ns += p.maintenance_ns;
+}
+
+/// Unwraps a point result, panicking on a simulator error so the failure
+/// reaches the retry ring; the typed error is left for its classifier.
+fn or_panic<R>(result: Result<R, TmccError>) -> R {
+    result.unwrap_or_else(|e| {
+        LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
+        panic!("{e}")
+    })
 }
 
 impl SweepCtx {
-    /// Builds a context with its own pool. `jobs == 0` means one worker
-    /// per available CPU.
-    pub fn new(scale: Scale, jobs: usize, out_dir: PathBuf, profile: bool) -> Self {
-        let jobs = resolve_jobs(jobs);
-        let pool = Arc::new(ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool"));
-        Self::with_pool(scale, jobs, out_dir, profile, pool)
-    }
-
-    /// Builds a context over an existing shared pool. `jobs` must already
-    /// be resolved (non-zero) and should match the pool's thread count.
-    pub fn with_pool(
-        scale: Scale,
-        jobs: usize,
-        out_dir: PathBuf,
-        profile: bool,
-        pool: Arc<ThreadPool>,
-    ) -> Self {
+    /// The context for experiment `name` within `sweep`; `budget_weight`
+    /// scales its watchdog deadline (`registry::Experiment::budget_weight`).
+    pub fn new(sweep: Arc<Sweep>, name: &'static str, budget_weight: f64) -> Self {
         Self {
-            scale,
-            jobs,
-            pool,
-            out_dir,
-            profile_enabled: profile,
-            experiment: "",
-            budget_weight: 1.0,
-            retries: DEFAULT_RETRIES,
-            only_point: None,
-            journal: None,
-            watchdog: None,
-            failures: None,
+            sweep,
+            experiment: name,
+            budget_weight,
             accesses: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             points_replayed: AtomicU64::new(0),
-            prof_steps: AtomicU64::new(0),
-            prof_workload_ns: AtomicU64::new(0),
-            prof_translation_ns: AtomicU64::new(0),
-            prof_data_ns: AtomicU64::new(0),
-            prof_maintenance_ns: AtomicU64::new(0),
+            profile: Mutex::new(PhaseProfile::default()),
         }
-    }
-
-    /// Context for a standalone figure binary: full scale, auto jobs,
-    /// the repo `results/` directory.
-    pub fn standalone() -> Self {
-        Self::new(Scale::Full, 0, crate::results_dir(), false)
-    }
-
-    /// Names the experiment this context runs and sets its watchdog
-    /// budget multiplier (`registry::Experiment::budget_weight`). The
-    /// name keys the context's journal records and failure reports.
-    pub fn for_experiment(mut self, name: &'static str, budget_weight: f64) -> Self {
-        self.experiment = name;
-        self.budget_weight = budget_weight;
-        self
-    }
-
-    /// Attaches the shared sweep journal: completed runs are appended,
-    /// and runs already journaled are replayed instead of simulated.
-    pub fn with_journal(mut self, journal: Arc<SweepJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches the shared watchdog: every simulation run gets a
-    /// cancellation deadline.
-    pub fn with_watchdog(mut self, watchdog: Arc<Watchdog>) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Attaches the shared failure sink, enabling the per-point retry +
-    /// quarantine ring in [`SweepCtx::par_map`].
-    pub fn with_failures(mut self, failures: Arc<FailureSink>) -> Self {
-        self.failures = Some(failures);
-        self
-    }
-
-    /// Sets the per-point retry count (attempts = retries + 1).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Restricts the sweep to one point index of the experiment's first
-    /// grid (`tmcc-bench run <exp> --point <idx>`): the point runs alone
-    /// through the normal retry ring, then the experiment stops with
-    /// [`PointReplayDone`] instead of emitting partial results. This is
-    /// the standalone replay for a `FAILURES.json` entry.
-    pub fn with_point(mut self, point: Option<usize>) -> Self {
-        self.only_point = point;
-        self
     }
 
     /// The run scale.
     pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// Worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
+        self.sweep.scale
     }
 
     /// Measured accesses per simulation run at this scale.
     pub fn accesses(&self) -> u64 {
-        self.scale.accesses()
+        self.sweep.scale.accesses()
     }
 
     /// Total accesses (warmup included) simulated through this context.
@@ -347,33 +338,19 @@ impl SweepCtx {
         self.points_replayed.load(Ordering::Relaxed)
     }
 
-    /// The experiment name this context was built for ("" standalone).
-    pub fn experiment(&self) -> &'static str {
-        self.experiment
-    }
-
     /// Aggregated host-time phase profile, if profiling was requested.
     pub fn profile(&self) -> Option<PhaseProfile> {
-        if !self.profile_enabled {
-            return None;
-        }
-        Some(PhaseProfile {
-            steps: self.prof_steps.load(Ordering::Relaxed),
-            workload_ns: self.prof_workload_ns.load(Ordering::Relaxed),
-            translation_ns: self.prof_translation_ns.load(Ordering::Relaxed),
-            data_ns: self.prof_data_ns.load(Ordering::Relaxed),
-            maintenance_ns: self.prof_maintenance_ns.load(Ordering::Relaxed),
-        })
+        self.sweep.profile.then(|| *self.profile.lock().expect("profile lock"))
     }
 
     /// Maps `f` over `items` on the worker pool; results come back in
     /// input order no matter how the workers are scheduled.
     ///
-    /// When a failure sink is attached (`tmcc-bench` runs), each point
-    /// runs inside the retry ring: a panic, simulator error, or watchdog
-    /// timeout is retried up to the configured `--retries` with a
-    /// deterministic re-seed, and a point that exhausts its attempts is
-    /// quarantined before the experiment aborts with [`PointAborted`].
+    /// Each point runs inside the retry ring: a panic, simulator error,
+    /// or watchdog timeout is retried up to the configured `--retries`
+    /// with a deterministic re-seed, and a point that exhausts its
+    /// attempts is quarantined before the experiment aborts with
+    /// [`PointAborted`].
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + Clone,
@@ -406,7 +383,7 @@ impl SweepCtx {
         F: Fn(T) -> R + Sync + Send,
     {
         let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-        if let Some(point) = self.only_point {
+        if let Some(point) = self.sweep.only_point {
             let grid = indexed.len();
             let Some((index, item)) = indexed.into_iter().find(|&(i, _)| i == point) else {
                 eprintln!("[{}] --point {point} out of range (grid has {grid})", self.experiment);
@@ -417,31 +394,23 @@ impl SweepCtx {
             std::panic::panic_any(PointReplayDone);
         }
         let run = |(index, item): (usize, T)| self.run_point(index, item, &f);
-        if self.jobs <= 1 {
+        if self.sweep.pool.current_num_threads() <= 1 {
             return indexed.into_iter().map(run).collect();
         }
         if sequential {
-            self.pool.install(|| indexed.into_iter().map(run).collect())
+            self.sweep.pool.install(|| indexed.into_iter().map(run).collect())
         } else {
-            self.pool.install(|| indexed.into_par_iter().map(run).collect())
+            self.sweep.pool.install(|| indexed.into_par_iter().map(run).collect())
         }
     }
 
-    /// One point through the retry ring (or straight through when no
-    /// failure sink is attached — standalone binaries keep the legacy
-    /// fail-fast behavior).
+    /// One point through the retry ring.
     fn run_point<T, R, F>(&self, index: usize, item: T, f: &F) -> R
     where
         T: Clone,
         F: Fn(T) -> R,
     {
-        let Some(sink) = &self.failures else {
-            let start = Instant::now();
-            let r = f(item);
-            self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return r;
-        };
-        let attempts = self.retries + 1;
+        let attempts = self.sweep.retries + 1;
         let mut timeouts = 0u32;
         let mut last_cause = None;
         for attempt in 0..attempts {
@@ -485,23 +454,22 @@ impl SweepCtx {
             }
         }
         let cause = last_cause.unwrap_or(FailureCause::Panic { message: "unknown".into() });
-        sink.record(PointFailure {
+        self.sweep.failures.record(PointFailure {
             experiment: self.experiment,
             index,
             cause,
             attempts,
             seed: LAST_POINT_SEED.with(Cell::get),
-            scale: self.scale.name(),
-            config_hash: crate::journal::scale_config_hash(self.scale),
+            scale: self.sweep.scale.name(),
+            config_hash: crate::journal::scale_config_hash(self.sweep.scale),
         });
         std::panic::panic_any(PointAborted);
     }
 
-    /// Writes `results/<name>.json` under the context's output directory
-    /// (same bytes as the legacy per-binary `write_json`).
+    /// Writes `<name>.json` under the sweep's output directory.
     pub fn emit<T: Serialize>(&self, name: &str, value: &T) {
-        let _ = fs::create_dir_all(&self.out_dir);
-        let path = self.out_dir.join(format!("{name}.json"));
+        let _ = fs::create_dir_all(&self.sweep.out_dir);
+        let path = self.sweep.out_dir.join(format!("{name}.json"));
         match serde_json::to_string_pretty(value) {
             Ok(s) => {
                 if fs::write(&path, s).is_ok() {
@@ -518,22 +486,23 @@ impl SweepCtx {
     /// point re-rolls its access stream instead of replaying the exact
     /// crash), and `--quick` runs halve the footprint per prior timeout
     /// so a wedged smoke point degrades instead of timing out forever.
-    pub fn tune(&self, mut cfg: SystemConfig) -> SystemConfig {
-        if let Some(w) = self.scale.warmup() {
+    fn tune(&self, mut cfg: SystemConfig) -> SystemConfig {
+        let scale = self.sweep.scale;
+        if let Some(w) = scale.warmup() {
             cfg.warmup_accesses = w;
         }
-        if let Some(cap) = self.scale.pages_cap() {
+        if let Some(cap) = scale.pages_cap() {
             cfg.workload.sim_pages = cfg.workload.sim_pages.min(cap);
         }
-        cfg.size_samples = self.scale.size_samples();
-        if self.profile_enabled {
+        cfg.size_samples = scale.size_samples();
+        if self.sweep.profile {
             cfg.profile = true;
         }
         let point = POINT_CTX.with(Cell::get);
         if point.attempt > 0 {
             cfg.seed ^= RESEED_GOLDEN.wrapping_mul(point.attempt as u64);
         }
-        if point.timeouts > 0 && self.scale == Scale::Quick {
+        if point.timeouts > 0 && scale == Scale::Quick {
             let shift = point.timeouts.min(8);
             cfg.workload.sim_pages = (cfg.workload.sim_pages >> shift).max(64);
         }
@@ -545,7 +514,7 @@ impl SweepCtx {
     /// builders in `experiments::mt` are already scale-aware (roster
     /// footprints, warmups and quanta are sized per [`Scale`]), so only
     /// the per-attempt retry re-seed applies here.
-    pub fn tune_mt(&self, mut cfg: MultiTenantConfig) -> MultiTenantConfig {
+    fn tune_mt(&self, mut cfg: MultiTenantConfig) -> MultiTenantConfig {
         let point = POINT_CTX.with(Cell::get);
         if point.attempt > 0 {
             cfg.seed ^= RESEED_GOLDEN.wrapping_mul(point.attempt as u64);
@@ -554,282 +523,182 @@ impl SweepCtx {
         cfg
     }
 
+    /// The one journaled point runner behind every family: journal lookup
+    /// → decode, else arm the watchdog → construct and run (`point`) →
+    /// convert a cancellation into a [`PointTimeout`] panic → append.
+    ///
+    /// `cfg` is already tuned; with `prefix` and `accesses` it keys the
+    /// journal record. `simulated` (warmup included) is added to the
+    /// access counter for replays and live runs alike. `point` gets the
+    /// point's cancellation handle, armed *before* construction so the
+    /// deadline covers the whole point, and a slot for the phase profile
+    /// of the `System` it ran. Its outer `Err` means construction failed
+    /// before simulating anything (not counted); the inner result is the
+    /// run's, counted even when it failed, since the work up to the
+    /// failure was simulated. Timeouts reach the retry ring as panics
+    /// even from callers that handle the `Err` branch themselves.
+    fn run_journaled<C, R, F>(
+        &self,
+        prefix: &str,
+        cfg: C,
+        accesses: u64,
+        simulated: u64,
+        point: F,
+    ) -> Result<R, TmccError>
+    where
+        C: fmt::Debug,
+        R: PointRecord,
+        F: FnOnce(C, &RunHandle, &mut PhaseProfile) -> Result<Result<R, TmccError>, TmccError>,
+    {
+        let key = point_key(prefix, &cfg, accesses);
+        let journal = &self.sweep.journal;
+        if let Some(json) = journal.lookup(self.experiment, key) {
+            let decoded = serde_json::from_str(json)
+                .map_err(|e| e.to_string())
+                .and_then(|v| R::from_value(&v));
+            match decoded {
+                Ok(record) => {
+                    self.accesses.fetch_add(simulated, Ordering::Relaxed);
+                    self.points_replayed.fetch_add(1, Ordering::Relaxed);
+                    return Ok(record);
+                }
+                Err(detail) => eprintln!(
+                    "warning: [{}] journal record undecodable ({detail}); re-running",
+                    self.experiment
+                ),
+            }
+        }
+        let handle = RunHandle::new();
+        let _guard = self.sweep.watchdog.arm(self.point_budget(), &handle);
+        let mut profile = PhaseProfile::default();
+        let result = point(cfg, &handle, &mut profile).and_then(|run| {
+            self.accesses.fetch_add(simulated, Ordering::Relaxed);
+            run
+        });
+        add_profile(&mut self.profile.lock().expect("profile lock"), &profile);
+        if result.as_ref().is_err_and(TmccError::is_cancelled) {
+            let budget_ms = self.point_budget().as_millis() as u64;
+            std::panic::panic_any(PointTimeout { budget_ms });
+        }
+        if let Ok(record) = &result {
+            match serde_json::to_string(record) {
+                Ok(json) => journal.append(self.experiment, key, &json),
+                Err(e) => eprintln!("warning: could not journal a run: {e}"),
+            }
+        }
+        result
+    }
+
     /// Runs one tuned config for `accesses` measured accesses, counting
     /// the simulated work and (if enabled) the phase profile.
     pub fn run(&self, cfg: SystemConfig, accesses: u64) -> RunReport {
-        match self.try_run(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                // Leave the typed error for the retry ring's classifier;
-                // the panic itself is what routes control there.
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
+        or_panic(self.try_run(cfg, accesses))
     }
 
-    /// Fallible variant of [`SweepCtx::run`] (robustness sweeps record
+    /// Fallible variant of [`SweepCtx::run`] (the robustness sweep records
     /// the error instead of aborting).
-    ///
-    /// This is the journal's unit of replay: the tuned config + access
-    /// count fingerprint the run, a journal hit decodes the stored
-    /// report (bit-exact — downstream JSON stays byte-identical) instead
-    /// of simulating, and a completed run is appended before returning.
-    /// Watchdog cancellation is converted to a [`PointTimeout`] panic so
-    /// timeouts reach the retry ring even from callers that handle the
-    /// `Err` branch themselves.
     pub fn try_run(&self, cfg: SystemConfig, accesses: u64) -> Result<RunReport, TmccError> {
-        self.try_run_keyed("", cfg, accesses)
+        self.run_system(PLAIN, cfg, accesses)
     }
 
-    /// Integrity-storm counterpart of [`SweepCtx::try_run`]: identical
-    /// replay and journaling, but keys carry the `int|` prefix (like
-    /// `mt|` and `cap|`) so storm records — whose configs differ from a
-    /// plain run's only by the flip plan — live in their own key space
-    /// and can never shadow or be shadowed by another family's record.
+    /// Integrity-storm counterpart of [`SweepCtx::try_run`]: identical,
+    /// but journaled under the `int|` key prefix.
     pub fn try_run_integrity(
         &self,
         cfg: SystemConfig,
         accesses: u64,
     ) -> Result<RunReport, TmccError> {
-        self.try_run_keyed("int|", cfg, accesses)
+        self.run_system(INTEGRITY, cfg, accesses)
     }
 
-    /// Runs one integrity point, panicking on error so failures route
-    /// through the retry ring (the storm counterpart of [`SweepCtx::run`]).
-    pub fn run_integrity(&self, cfg: SystemConfig, accesses: u64) -> RunReport {
-        match self.try_run_integrity(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
-    }
-
-    fn try_run_keyed(
+    fn run_system(
         &self,
-        key_prefix: &'static str,
+        prefix: &str,
         cfg: SystemConfig,
         accesses: u64,
     ) -> Result<RunReport, TmccError> {
         let cfg = self.tune(cfg);
-        let warmup = cfg.warmup_accesses;
-        let key = fingerprint(&format!("{key_prefix}{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_report(json) {
-                    Ok(report) => {
-                        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(report);
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
-                }
-            }
-        }
-        let mut sys = System::try_new(cfg)?;
-        let _guard = self.watchdog.as_ref().map(|dog| {
-            let handle = RunHandle::new();
-            sys.attach_handle(&handle);
-            dog.arm(self.point_budget(), &handle)
-        });
-        let result = sys.try_run(accesses);
-        // Count even failed runs: the work up to the failure was simulated.
-        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-        let p = sys.phase_profile();
-        if p.steps > 0 {
-            self.prof_steps.fetch_add(p.steps, Ordering::Relaxed);
-            self.prof_workload_ns.fetch_add(p.workload_ns, Ordering::Relaxed);
-            self.prof_translation_ns.fetch_add(p.translation_ns, Ordering::Relaxed);
-            self.prof_data_ns.fetch_add(p.data_ns, Ordering::Relaxed);
-            self.prof_maintenance_ns.fetch_add(p.maintenance_ns, Ordering::Relaxed);
-        }
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
-            }
-        }
-        if let (Ok(report), Some(journal)) = (&result, &self.journal) {
-            match serde_json::to_string(report) {
-                Ok(json) => journal.append(self.experiment, key, &json),
-                Err(e) => eprintln!("warning: could not journal a run: {e}"),
-            }
-        }
-        result
+        let simulated = cfg.warmup_accesses + accesses;
+        self.run_journaled(prefix, cfg, accesses, simulated, |cfg, handle, profile| {
+            let mut sys = System::try_new_cancellable(cfg, Some(handle))?;
+            let result = sys.try_run(accesses);
+            *profile = *sys.phase_profile();
+            Ok(result)
+        })
     }
 
-    /// Runs one multi-tenant scenario, panicking on error so failures
-    /// route through the retry ring (the MT counterpart of
-    /// [`SweepCtx::run`]).
+    /// Runs one multi-tenant scenario (journaled under `mt|`), panicking
+    /// on error so failures route through the retry ring.
     pub fn run_mt(&self, cfg: MultiTenantConfig, accesses: u64) -> MultiTenantReport {
-        match self.try_run_mt(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
-    }
-
-    /// Fallible multi-tenant counterpart of [`SweepCtx::try_run`]: same
-    /// journal replay (keys prefixed `mt|` so they can never collide
-    /// with single-system fingerprints), same watchdog arming — the
-    /// cancellation token is wired in before construction so admission
-    /// warmups respect the deadline — and the same timeout-to-panic
-    /// conversion into the retry ring.
-    pub fn try_run_mt(
-        &self,
-        cfg: MultiTenantConfig,
-        accesses: u64,
-    ) -> Result<MultiTenantReport, TmccError> {
         let cfg = self.tune_mt(cfg);
-        let initial_warmups =
-            cfg.warmup_accesses * cfg.initial_tenants.min(cfg.roster.len()) as u64;
-        let key = fingerprint(&format!("mt|{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_mt_report(json) {
-                    Ok(report) => {
-                        self.accesses.fetch_add(initial_warmups + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(report);
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
-                }
-            }
-        }
-        let handle = RunHandle::new();
-        let _guard = self.watchdog.as_ref().map(|dog| dog.arm(self.point_budget(), &handle));
-        let result = MultiTenantSystem::try_new_cancellable(cfg, Some(&handle))
-            .and_then(|mut sys| sys.try_run(accesses));
-        // Count even failed scenarios: the work up to the failure ran.
-        self.accesses.fetch_add(initial_warmups + accesses, Ordering::Relaxed);
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
-            }
-        }
-        if let (Ok(report), Some(journal)) = (&result, &self.journal) {
-            match serde_json::to_string(report) {
-                Ok(json) => journal.append(self.experiment, key, &json),
-                Err(e) => eprintln!("warning: could not journal a run: {e}"),
-            }
-        }
-        result
+        let warmups = cfg.warmup_accesses * cfg.initial_tenants.min(cfg.roster.len()) as u64;
+        or_panic(self.run_journaled(
+            MULTI_TENANT,
+            cfg,
+            accesses,
+            warmups + accesses,
+            |cfg, h, _| {
+                // Construction runs the admission warmups, so a scenario that
+                // fails in it has simulated work too.
+                Ok(MultiTenantSystem::try_new_cancellable(cfg, Some(h))
+                    .and_then(|mut sys| sys.try_run(accesses)))
+            },
+        ))
     }
 
-    /// Runs one capacity/footprint point, panicking on error so failures
-    /// route through the retry ring (the capacity counterpart of
-    /// [`SweepCtx::run`]).
+    /// Runs one capacity/footprint point (journaled under `cap|` with a
+    /// [`CapacityProbe`] beside the report), panicking on error so
+    /// failures route through the retry ring. The returned [`HostCost`]
+    /// is the *nondeterministic* wall-clock/RSS side and is `None` for
+    /// replayed points; it must never feed a golden-compared results file.
     pub fn run_capacity(
         &self,
         cfg: SystemConfig,
         accesses: u64,
     ) -> (RunReport, CapacityProbe, Option<HostCost>) {
-        match self.try_run_capacity(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
-    }
-
-    /// Capacity counterpart of [`SweepCtx::try_run`]: same journal replay
-    /// (keys prefixed `cap|`) and watchdog arming, but the journal record
-    /// carries a [`CapacityProbe`] beside the report — the host-side
-    /// metadata/store measurements a plain [`RunReport`] cannot express.
-    /// The returned [`HostCost`] is the *nondeterministic* wall-clock/RSS
-    /// side and is `None` for replayed points; it must never feed a
-    /// golden-compared results file.
-    pub fn try_run_capacity(
-        &self,
-        cfg: SystemConfig,
-        accesses: u64,
-    ) -> Result<(RunReport, CapacityProbe, Option<HostCost>), TmccError> {
         let cfg = self.tune(cfg);
-        let warmup = cfg.warmup_accesses;
-        let key = fingerprint(&format!("cap|{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_capacity(json) {
-                    Ok((report, probe)) => {
-                        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok((report, probe, None));
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
-                }
-            }
-        }
-        let rss_before_kb = crate::hostmem::current_rss_kb();
-        let construct_start = Instant::now();
-        let mut sys = System::try_new(cfg)?;
-        let construct_ms = construct_start.elapsed().as_secs_f64() * 1e3;
-        let _guard = self.watchdog.as_ref().map(|dog| {
-            let handle = RunHandle::new();
-            sys.attach_handle(&handle);
-            dog.arm(self.point_budget(), &handle)
-        });
-        let run_start = Instant::now();
-        let result = sys.try_run(accesses);
-        let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
-        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
-            }
-        }
-        let report = result?;
-        let (store_reads, store_writes, store_divergent_writes) = sys.page_store().stats();
-        let probe = CapacityProbe {
-            metadata_heap_bytes: sys.metadata_heap_bytes() as u64,
-            store_heap_bytes: sys.page_store().heap_bytes() as u64,
-            store_reads,
-            store_writes,
-            store_divergent_writes,
-            pinned_pages: sys.page_store().pinned_pages() as u64,
-        };
-        let host = HostCost {
-            construct_ms,
-            run_ms,
-            rss_before_kb,
-            rss_after_kb: crate::hostmem::current_rss_kb(),
-        };
-        if let Some(journal) = &self.journal {
-            match (serde_json::to_string(&report), serde_json::to_string(&probe)) {
-                (Ok(r), Ok(p)) => {
-                    journal.append(
-                        self.experiment,
-                        key,
-                        &format!("{{\"report\":{r},\"probe\":{p}}}"),
-                    );
-                }
-                _ => eprintln!("warning: could not journal a capacity run"),
-            }
-        }
-        Ok((report, probe, Some(host)))
+        let simulated = cfg.warmup_accesses + accesses;
+        let mut host = None;
+        let record =
+            self.run_journaled(CAPACITY, cfg, accesses, simulated, |cfg, handle, profile| {
+                let rss_before_kb = crate::hostmem::current_rss_kb();
+                let construct_start = Instant::now();
+                let mut sys = System::try_new_cancellable(cfg, Some(handle))?;
+                let construct_ms = construct_start.elapsed().as_secs_f64() * 1e3;
+                let run_start = Instant::now();
+                let result = sys.try_run(accesses);
+                let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
+                *profile = *sys.phase_profile();
+                Ok(result.map(|report| {
+                    let store = sys.page_store();
+                    let (store_reads, store_writes, store_divergent_writes) = store.stats();
+                    let probe = CapacityProbe {
+                        metadata_heap_bytes: sys.metadata_heap_bytes() as u64,
+                        store_heap_bytes: store.heap_bytes() as u64,
+                        store_reads,
+                        store_writes,
+                        store_divergent_writes,
+                        pinned_pages: store.pinned_pages() as u64,
+                    };
+                    host = Some(HostCost {
+                        construct_ms,
+                        run_ms,
+                        rss_before_kb,
+                        rss_after_kb: crate::hostmem::current_rss_kb(),
+                    });
+                    CapacityRecord { report, probe }
+                }))
+            });
+        let CapacityRecord { report, probe } = or_panic(record);
+        (report, probe, host)
     }
 
     /// This context's watchdog deadline per simulation run.
     fn point_budget(&self) -> Duration {
-        effective_budget(self.scale.point_budget().mul_f64(self.budget_weight.max(0.1)))
+        effective_budget(self.sweep.scale.point_budget().mul_f64(self.budget_weight.max(0.1)))
     }
 
-    /// [`crate::run_scheme`] through the context.
+    /// Runs one workload under one scheme with an optional budget.
     pub fn run_scheme(
         &self,
         workload: &WorkloadProfile,
@@ -842,7 +711,7 @@ impl SweepCtx {
         self.run(cfg, accesses)
     }
 
-    /// [`crate::run_two_level`] through the context.
+    /// Runs a two-level scheme with explicit toggles (Fig. 20 ablations).
     pub fn run_two_level(
         &self,
         workload: &WorkloadProfile,
@@ -850,24 +719,21 @@ impl SweepCtx {
         budget: u64,
         accesses: u64,
     ) -> RunReport {
-        let kind = if toggles.embedded_ctes && toggles.fast_deflate {
-            SchemeKind::Tmcc
-        } else {
-            SchemeKind::OsInspired
-        };
-        let cfg =
-            SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles);
-        self.run(cfg, accesses)
+        self.run(two_level_cfg(workload, toggles, budget), accesses)
     }
 
-    /// [`crate::compresso_anchor`] through the context.
+    /// Runs Compresso and returns `(report, dram_used)` — the iso-savings
+    /// anchor of Figs. 17/18/19.
     pub fn compresso_anchor(&self, workload: &WorkloadProfile, accesses: u64) -> (RunReport, u64) {
         let r = self.run_scheme(workload, SchemeKind::Compresso, None, accesses);
         let used = r.stats.dram_used_bytes;
         (r, used)
     }
 
-    /// [`crate::iso_perf_budget_search`] through the context.
+    /// Binary-searches the smallest DRAM budget at which `toggles` still
+    /// delivers at least `perf_floor` accesses/µs (the Table IV
+    /// methodology: "operating points where TMCC can still provide the
+    /// same performance as Compresso"). Returns `(budget, report_at_budget)`.
     pub fn iso_perf_budget_search(
         &self,
         workload: &WorkloadProfile,
@@ -875,20 +741,17 @@ impl SweepCtx {
         perf_floor: f64,
         accesses: u64,
     ) -> (u64, RunReport) {
-        let kind = if toggles.embedded_ctes && toggles.fast_deflate {
-            SchemeKind::Tmcc
-        } else {
-            SchemeKind::OsInspired
-        };
         self.iso_perf_budget_search_cfg(
             workload,
-            |b| SystemConfig::new(workload.clone(), kind).with_budget(b).with_toggles(toggles),
+            |b| two_level_cfg(workload, toggles, b),
             perf_floor,
             accesses,
         )
     }
 
-    /// [`crate::iso_perf_budget_search_cfg`] through the context.
+    /// Like [`SweepCtx::iso_perf_budget_search`], but with an arbitrary
+    /// config factory — the huge-page sensitivity study needs extra
+    /// settings on every probe.
     pub fn iso_perf_budget_search_cfg(
         &self,
         workload: &WorkloadProfile,
@@ -919,6 +782,17 @@ impl SweepCtx {
     }
 }
 
+/// A two-level scheme config with explicit toggles: full TMCC when both
+/// of its mechanisms are on, the OS-inspired baseline otherwise.
+fn two_level_cfg(workload: &WorkloadProfile, toggles: TmccToggles, budget: u64) -> SystemConfig {
+    let kind = if toggles.embedded_ctes && toggles.fast_deflate {
+        SchemeKind::Tmcc
+    } else {
+        SchemeKind::OsInspired
+    };
+    SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles)
+}
+
 /// Seed-perturbation constant for retry attempts (the golden-ratio
 /// multiplier also used by the workspace hasher). `seed ^ GOLDEN*attempt`
 /// is deterministic — re-running a resumed sweep retries with the same
@@ -942,18 +816,6 @@ fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> FailureCause {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into());
     FailureCause::Panic { message }
-}
-
-/// Decodes a journaled compact-JSON report (see `RunReport::from_value`).
-fn decode_report(json: &str) -> Result<RunReport, String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    RunReport::from_value(&value)
-}
-
-/// Decodes a journaled multi-tenant report.
-fn decode_mt_report(json: &str) -> Result<MultiTenantReport, String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    MultiTenantReport::from_value(&value)
 }
 
 /// Deterministic host-side measurements of one capacity point: the
@@ -1009,16 +871,6 @@ pub struct HostCost {
     pub rss_after_kb: u64,
 }
 
-/// Decodes a journaled capacity record (`{"report": .., "probe": ..}`).
-fn decode_capacity(json: &str) -> Result<(RunReport, CapacityProbe), String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let mut f = serde::FieldReader::open(&value, "CapacityRecord")?;
-    let report = RunReport::from_value(f.value("report")?)?;
-    let probe = CapacityProbe::from_value(f.value("probe")?)?;
-    f.finish()?;
-    Ok((report, probe))
-}
-
 /// One experiment's entry in `BENCH_sweep.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExperimentTiming {
@@ -1069,4 +921,33 @@ pub struct SweepSummary {
     pub peak_rss_kb: u64,
     /// Host-time phase profile (all zeros unless `--profile` was given).
     pub profile: PhaseProfile,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn journal_key_spaces_are_pinned_and_disjoint() {
+        let w = WorkloadProfile::by_name("canneal").expect("known workload");
+        let cfg = SystemConfig::new(w, SchemeKind::Tmcc);
+        let n = 1_000;
+        let keys = [
+            (point_key(PLAIN, &cfg, n), fingerprint(&format!("{cfg:?}|{n}"))),
+            (point_key(INTEGRITY, &cfg, n), fingerprint(&format!("int|{cfg:?}|{n}"))),
+            (point_key(MULTI_TENANT, &cfg, n), fingerprint(&format!("mt|{cfg:?}|{n}"))),
+            (point_key(CAPACITY, &cfg, n), fingerprint(&format!("cap|{cfg:?}|{n}"))),
+        ];
+        for (key, expected) in keys {
+            assert_eq!(
+                key, expected,
+                "a journal key format changed; old journals would not replay"
+            );
+        }
+        for (i, (a, _)) in keys.iter().enumerate() {
+            for (b, _) in &keys[i + 1..] {
+                assert_ne!(a, b, "two point families share a journal key space");
+            }
+        }
+    }
 }

@@ -58,16 +58,20 @@ impl Watchdog {
 
     /// Arms a deadline `budget` from now for `handle`. Dropping the
     /// returned guard disarms it; [`WatchdogGuard::expired`] reports
-    /// whether the watchdog fired first.
+    /// whether the watchdog fired first. A zero budget is a deadline that
+    /// has already passed: the handle is cancelled before `arm` returns.
     pub fn arm(&self, budget: Duration, handle: &RunHandle) -> WatchdogGuard {
+        let fired = budget.is_zero();
+        if fired {
+            handle.cancel();
+        }
         let (lock, cvar) = &*self.board;
         let mut board = lock.lock().expect("watchdog board");
         let id = board.next_id;
         board.next_id += 1;
-        board.entries.insert(
-            id,
-            Entry { deadline: Instant::now() + budget, handle: handle.clone(), fired: false },
-        );
+        board
+            .entries
+            .insert(id, Entry { deadline: Instant::now() + budget, handle: handle.clone(), fired });
         cvar.notify_one();
         WatchdogGuard { board: Arc::clone(&self.board), id }
     }
@@ -167,6 +171,15 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(handle.is_cancelled(), "watchdog never fired");
+        assert!(guard.expired());
+    }
+
+    #[test]
+    fn zero_budget_cancels_synchronously() {
+        let dog = Watchdog::new();
+        let handle = RunHandle::new();
+        let guard = dog.arm(Duration::ZERO, &handle);
+        assert!(handle.is_cancelled());
         assert!(guard.expired());
     }
 

@@ -1,7 +1,8 @@
 //! Crash-safety integration tests for the sweep harness: a run killed
 //! mid-sweep and resumed with `--resume` must emit byte-identical results,
 //! and a persistently failing point must be retried, quarantined into
-//! `FAILURES.json`, and must not poison the rest of the fleet.
+//! `FAILURES.json`, and must not poison the rest of the fleet — including
+//! a point whose watchdog deadline expires during construction.
 //!
 //! Like `golden_determinism`, these drive the *release* binary — the
 //! suite is simulation-heavy and tier 1 has already paid for the build.
@@ -10,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use tmcc_bench::failures::{FAILURES_FILE, FAIL_POINT_ENV};
 use tmcc_bench::journal::{EXIT_AFTER_POINTS_CODE, EXIT_AFTER_POINTS_ENV};
+use tmcc_bench::watchdog::POINT_BUDGET_ENV;
 
 fn workspace_root() -> PathBuf {
     // crates/bench -> crates -> workspace
@@ -161,4 +163,44 @@ fn failing_point_is_quarantined_without_poisoning_the_fleet() {
         others += 1;
     }
     assert!(others >= 17, "expected the rest of the fleet to complete");
+}
+
+#[test]
+fn timed_out_point_is_retried_then_quarantined() {
+    let bin = release_binary();
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("timeout");
+    let out = fresh_dir(&tmp, "out");
+
+    // A zero budget cancels every point's handle before construction
+    // starts, so each attempt times out inside `System` construction
+    // deterministically, without depending on thread timing.
+    let output = Command::new(&bin)
+        .args(["run", "capacity_cliff", "--test", "--jobs", "1", "--out"])
+        .arg(&out)
+        .env_remove(EXIT_AFTER_POINTS_ENV)
+        .env_remove(FAIL_POINT_ENV)
+        .env(POINT_BUDGET_ENV, "0")
+        .output()
+        .expect("spawn tmcc-bench");
+    assert_eq!(output.status.code(), Some(1), "a quarantined timeout must exit non-zero");
+
+    // No attempt got past construction, so no access was simulated (a
+    // deadline armed only after construction would cancel the run instead,
+    // which counts its accesses).
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let summary = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("capacity_cliff") && l.ends_with("acc/s"))
+        .expect("summary line for capacity_cliff");
+    let words: Vec<&str> = summary.split_whitespace().collect();
+    let at = words.iter().position(|w| *w == "accesses").expect("accesses column");
+    assert_eq!(words[at - 1], "0", "the deadline must fire during construction: {summary}");
+
+    let failures = std::fs::read_to_string(out.join(FAILURES_FILE)).expect("FAILURES.json written");
+    assert_eq!(field_values(&failures, "kind"), vec!["\"timeout\""], "the cause is the deadline");
+    assert_eq!(field_values(&failures, "attempts"), vec!["3"], "1 initial + 2 default retries");
+    assert!(
+        !out.join("capacity_cliff.json").exists(),
+        "a quarantined experiment must not publish results"
+    );
 }

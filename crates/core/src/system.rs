@@ -43,6 +43,9 @@ use tmcc_workloads::{AccessStream, PageStore};
 const CORE_NS_PER_CYCLE: f64 = 1.0 / 2.8;
 /// How often (in accesses) background maintenance runs.
 const MAINTENANCE_PERIOD: u64 = 32;
+/// How often (in pages) construction's identity page-map loop polls its
+/// cancellation token.
+const CONSTRUCT_CHECK_PAGES: u64 = 1 << 16;
 
 /// Host-time breakdown of the simulation loop, collected when
 /// `SystemConfig::profile` is set (the `tmcc-bench --profile` flag).
@@ -157,6 +160,26 @@ impl System {
     /// the configured DRAM budget cannot hold the workload even fully
     /// compressed.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
+        Self::try_new_cancellable(cfg, None)
+    }
+
+    /// [`System::try_new`] under a cancellation token: construction polls
+    /// `handle` every [`CONSTRUCT_CHECK_PAGES`] pages of the identity
+    /// page-map loop and between stages (after mapping, after size-model
+    /// sampling, after the scheme is built), returning
+    /// [`TmccError::Cancelled`] once it has been cancelled, and the built
+    /// system keeps the handle attached for its run. The two-level
+    /// scheme's placement and PTB-embedding warm-up inside
+    /// `TwoLevelScheme::try_new` stay uninterruptible: that constructor is
+    /// also called directly, without a handle.
+    pub fn try_new_cancellable(
+        cfg: SystemConfig,
+        handle: Option<&RunHandle>,
+    ) -> Result<Self, TmccError> {
+        let poll = || match handle {
+            Some(h) if h.is_cancelled() => Err(TmccError::Cancelled { at_access: 0 }),
+            _ => Ok(()),
+        };
         let mut page_table =
             PageTable::new(PageTableConfig { huge_pages: cfg.huge_pages, ..Default::default() });
         let pages = cfg.workload.sim_pages;
@@ -166,11 +189,16 @@ impl System {
             }
         } else {
             for i in 0..pages {
+                if i.is_multiple_of(CONSTRUCT_CHECK_PAGES) {
+                    poll()?;
+                }
                 page_table.map(Vpn::new(i), Ppn::new(i));
             }
         }
+        poll()?;
         let mut store = PageStore::new(cfg.workload.page_content(cfg.seed));
         let size_model = SizeModel::sample_via(&mut store, cfg.size_samples);
+        poll()?;
         let table_pages = page_table.table_page_count() as u64;
 
         let scheme: Box<dyn Scheme> = match cfg.scheme {
@@ -209,6 +237,7 @@ impl System {
                 )?)
             }
         };
+        poll()?;
 
         let streams = (0..cfg.cores.max(1))
             .map(|i| cfg.workload.stream(cfg.seed.wrapping_add(i as u64 * 977)))
@@ -244,7 +273,7 @@ impl System {
             store,
             latency: LatencyHistogram::new(),
             profile: PhaseProfile::default(),
-            cancel: None,
+            cancel: handle.cloned(),
             cfg,
         })
     }
@@ -637,5 +666,38 @@ impl System {
     /// (reset by [`System::try_warmup`] alongside the counters).
     pub fn latency_histogram(&self) -> &LatencyHistogram {
         &self.latency
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tmcc_workloads::WorkloadProfile;
+
+    fn small_config() -> SystemConfig {
+        let mut w = WorkloadProfile::by_name("canneal").expect("known workload");
+        w.sim_pages = 1 << 12;
+        let mut cfg = SystemConfig::new(w, SchemeKind::Tmcc);
+        cfg.size_samples = 8;
+        cfg
+    }
+
+    #[test]
+    fn cancelled_handle_stops_construction() {
+        let handle = RunHandle::new();
+        handle.cancel();
+        match System::try_new_cancellable(small_config(), Some(&handle)) {
+            Err(TmccError::Cancelled { at_access }) => assert_eq!(at_access, 0),
+            Err(e) => panic!("expected a cancellation, got {e}"),
+            Ok(_) => panic!("construction ignored a cancelled handle"),
+        }
+    }
+
+    #[test]
+    fn built_system_keeps_the_handle_attached() {
+        let handle = RunHandle::new();
+        let mut sys = System::try_new_cancellable(small_config(), Some(&handle)).expect("builds");
+        handle.cancel();
+        assert!(sys.try_run(1_000).is_err_and(|e| e.is_cancelled()));
     }
 }
