@@ -647,10 +647,13 @@ impl SweepCtx {
     }
 
     /// Runs one capacity/footprint point (journaled under `cap|` with a
-    /// [`CapacityProbe`] beside the report), panicking on error so
-    /// failures route through the retry ring. The returned [`HostCost`]
-    /// is the *nondeterministic* wall-clock/RSS side and is `None` for
-    /// replayed points; it must never feed a golden-compared results file.
+    /// [`CapacityProbe`] beside the report), then audits the scheme's
+    /// invariants ([`System::validate`]) — footprints this large are where
+    /// a physical-layout overlap would break frame conservation —
+    /// panicking on error so failures route through the retry ring. The
+    /// returned [`HostCost`] is the *nondeterministic* wall-clock/RSS side
+    /// and is `None` for replayed points; it must never feed a
+    /// golden-compared results file.
     pub fn run_capacity(
         &self,
         cfg: SystemConfig,
@@ -668,6 +671,7 @@ impl SweepCtx {
                 let run_start = Instant::now();
                 let result = sys.try_run(accesses);
                 let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
+                let result = result.and_then(|report| sys.validate().map(|()| report));
                 *profile = *sys.phase_profile();
                 Ok(result.map(|report| {
                     let store = sys.page_store();

@@ -28,6 +28,14 @@ pub enum TmccError {
         /// Which stage of placement ran out of room.
         stage: &'static str,
     },
+    /// The data pages reach into the page-table region, so data and table
+    /// pages would share PPNs (and their per-page metadata slots).
+    TableRegionOverlap {
+        /// Data pages, identity-placed at PPNs `0..data_pages`.
+        data_pages: u64,
+        /// First PPN of the page-table region.
+        table_region_base: u64,
+    },
     /// An allocation could not be satisfied because the free lists ran
     /// dry (ML1 had no chunks left to donate to ML2).
     FreeListExhausted {
@@ -105,6 +113,11 @@ impl fmt::Display for TmccError {
                 f,
                 "DRAM budget infeasible during {stage}: {budget_frames} frames available, \
                  at least {required_frames} required even fully compressed"
+            ),
+            TmccError::TableRegionOverlap { data_pages, table_region_base } => write!(
+                f,
+                "data pages 0..{data_pages:#x} overlap the page-table region at PPN \
+                 {table_region_base:#x}"
             ),
             TmccError::FreeListExhausted { requested_bytes, ml1_free_chunks } => write!(
                 f,

@@ -187,6 +187,18 @@ pub trait Scheme: Send {
     /// ML2; leaving stale dirty lines behind would ping-pong the page
     /// straight back to ML1).
     fn drain_evicted_pages(&mut self, _out: &mut Vec<Ppn>) {}
+
+    /// Reference model for tests: warms every PTB embedding at once, the
+    /// way construction used to, instead of on first fetch.
+    #[cfg(test)]
+    fn warm_embeddings_eagerly(&mut self, _page_table: &tmcc_sim_mem::PageTable) {}
+
+    /// Test probe: embedded CTEs materialized from pages' recorded
+    /// construction-time CTEs rather than their current placement.
+    #[cfg(test)]
+    fn initial_cte_reads(&self) -> u64 {
+        0
+    }
 }
 
 /// Row-sized stride separating successive pages' translation entries in

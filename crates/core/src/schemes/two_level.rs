@@ -78,6 +78,9 @@ const CTE_SCRUB_REFILL_NS: f64 = 60.0;
 /// sequential sweep touching one packed word per frame.
 const FREE_MAP_REBUILD_NS_PER_FRAME: f64 = 0.5;
 
+/// The truncated CTEs one compressed PTB embeds, per PTE slot.
+type PtbEmbedding = [Option<TruncatedCte>; PTES_PER_PTB];
+
 /// The shared two-level scheme.
 pub struct TwoLevelScheme {
     toggles: TmccToggles,
@@ -93,8 +96,18 @@ pub struct TwoLevelScheme {
     cte_cache: CteCache,
     cte_buffer: CteBuffer,
     /// Modelled embedded CTEs per PTB block (what is physically stored in
-    /// the compressed PTB encoding in DRAM).
-    ptb_embed: FxHashMap<u64, [Option<TruncatedCte>; PTES_PER_PTB]>,
+    /// the compressed PTB encoding in DRAM), materialized on the block's
+    /// first fetch. `None` marks a block that cannot embed (its PTEs'
+    /// status bits differ, so it does not compress).
+    ptb_embed: FxHashMap<u64, Option<PtbEmbedding>>,
+    /// Each moved page's truncated CTE at construction, recorded just
+    /// before its first move (embedded CTEs only): a PTB first fetched
+    /// after some of its pages moved still embeds what a warm-up of every
+    /// PTB at construction would have (see [`Self::move_page`]).
+    initial_ctes: FxHashMap<u64, Option<TruncatedCte>>,
+    /// Embedded CTEs taken from `initial_ctes` while materializing.
+    #[cfg(test)]
+    initial_cte_reads: u64,
     /// Latest PTB location of each PPN's PTE, for lazy repair.
     ptb_slot_of: FxHashMap<u64, (u64, usize)>,
     size_model: SizeModel,
@@ -177,7 +190,14 @@ impl TwoLevelScheme {
 
     /// Builds the scheme and performs initial placement, returning
     /// [`TmccError::InfeasibleBudget`] when the budget cannot hold the
-    /// workload even with every overflow page compressed into ML2.
+    /// workload even with every overflow page compressed into ML2, and
+    /// [`TmccError::TableRegionOverlap`] when the data pages reach into
+    /// the page table's region.
+    ///
+    /// PTB embeddings are not warmed here: each block's embedding is
+    /// materialized from the construction-time CTEs on its first fetch
+    /// (see [`Scheme::on_ptb_fetched`]), which is what warming every PTB
+    /// up front (§VI) would leave there.
     #[allow(clippy::too_many_arguments)]
     pub fn try_new(
         toggles: TmccToggles,
@@ -189,16 +209,23 @@ impl TwoLevelScheme {
         seed: u64,
         recency_sample: f64,
     ) -> Result<Self, TmccError> {
+        let table_region_base = page_table.table_region_base();
+        if data_pages > table_region_base {
+            return Err(TmccError::TableRegionOverlap { data_pages, table_region_base });
+        }
         let evict_lo = ((budget_frames as usize) / 64).max(24);
         let mut s = Self {
             toggles,
-            pages: PageMetaStore::new(page_table.table_region_base()),
+            pages: PageMetaStore::new(table_region_base),
             ml1_free: Ml1FreeList::with_chunks(budget_frames),
             ml2: Ml2FreeLists::paper_classes(),
             recency: RecencyList::with_probability(seed, recency_sample),
             cte_cache: CteCache::new(cte_cfg),
             cte_buffer: CteBuffer::paper_default(),
             ptb_embed: FxHashMap::default(),
+            initial_ctes: FxHashMap::default(),
+            #[cfg(test)]
+            initial_cte_reads: 0,
             ptb_slot_of: FxHashMap::default(),
             size_model,
             timing: DeflateTiming::default(),
@@ -219,15 +246,8 @@ impl TwoLevelScheme {
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
         };
         // Pin page-table pages in ML1.
-        let mut table_ppns: Vec<u64> = Vec::new();
-        for level in (1..=4).rev() {
-            for (block, _) in page_table.ptbs_at_level(level) {
-                table_ppns.push(block.ppn().raw());
-            }
-        }
-        table_ppns.sort_unstable();
-        table_ppns.dedup();
-        let table_pages = table_ppns.len() as u64;
+        let table_ppns = page_table.table_ppns();
+        let table_pages = table_ppns.end - table_ppns.start;
         for ppn in table_ppns {
             let frame = s.ml1_free.pop().ok_or(TmccError::InfeasibleBudget {
                 budget_frames: budget_frames as u64,
@@ -321,16 +341,6 @@ impl TwoLevelScheme {
                 );
             }
         }
-        // Warm the embedded CTEs in every compressible PTB (§VI: "warm up
-        // ML1, ML2, and embedded CTEs in compressed PTBs").
-        if toggles.embedded_ctes {
-            let geometry = PtbGeometry::paper_default();
-            for level in 1..=4u8 {
-                for (block, ptb) in page_table.ptbs_at_level(level) {
-                    s.refresh_ptb_embedding(block, &ptb, geometry);
-                }
-            }
-        }
         Ok(s)
     }
 
@@ -390,28 +400,60 @@ impl TwoLevelScheme {
         Ok(cte)
     }
 
-    fn refresh_ptb_embedding(&mut self, block: BlockAddr, ptb: &PageTableBlock, g: PtbGeometry) {
-        let Ok(mut compressed) = CompressedPtb::compress(ptb, g) else {
-            self.ptb_embed.remove(&block.raw());
-            return;
-        };
+    /// Page `ppn`'s truncated CTE as its current placement gives it.
+    fn truncated_cte(&self, ppn: u64) -> Option<TruncatedCte> {
+        let info = self.pages.get(ppn)?;
+        self.cte_of(&info).ok().map(Cte::truncated)
+    }
+
+    /// The embedding warming `ptb` at construction gives it (§VI: "warm
+    /// up ML1, ML2, and embedded CTEs in compressed PTBs"): each present
+    /// PTE's construction-time truncated CTE, while the compressed
+    /// encoding has room. `None` if the block does not compress.
+    fn initial_embedding(&mut self, ptb: &PageTableBlock) -> Option<PtbEmbedding> {
+        let mut compressed = CompressedPtb::compress(ptb, PtbGeometry::paper_default()).ok()?;
         let mut slots = [None; PTES_PER_PTB];
         for (i, slot) in slots.iter_mut().enumerate() {
             let pte = ptb.entry(i);
             if !pte.is_present() {
                 continue;
             }
-            if let Some(info) = self.pages.get(pte.ppn().raw()) {
-                let Ok(cte) = self.cte_of(&info) else {
-                    continue;
-                };
-                let t = cte.truncated();
+            let ppn = pte.ppn().raw();
+            // A page that has moved since construction left its initial
+            // CTE behind; one that has not still has it.
+            let initial = match self.initial_ctes.get(&ppn) {
+                Some(&recorded) => {
+                    #[cfg(test)]
+                    {
+                        self.initial_cte_reads += 1;
+                    }
+                    recorded
+                }
+                None => self.truncated_cte(ppn),
+            };
+            if let Some(t) = initial {
                 if compressed.embed_cte(i, t) {
                     *slot = Some(t);
                 }
             }
         }
-        self.ptb_embed.insert(block.raw(), slots);
+        Some(slots)
+    }
+
+    /// Re-homes the page behind `id` — the only way a placement changes.
+    /// Before a page's first move it records the page's construction-time
+    /// CTE, so embeddings materialized later stay exact (see
+    /// [`Self::initial_embedding`]).
+    fn move_page(&mut self, id: PageId, ppn: u64, place: Placement) -> Result<(), TmccError> {
+        if self.toggles.embedded_ctes && !self.initial_ctes.contains_key(&ppn) {
+            let initial = self.truncated_cte(ppn);
+            self.initial_ctes.insert(ppn, initial);
+        }
+        if self.pages.set_place(id, place) {
+            Ok(())
+        } else {
+            Err(TmccError::UnplacedPage { ppn })
+        }
     }
 
     /// Re-derives the eviction watermarks after the budget changed.
@@ -573,7 +615,7 @@ impl TwoLevelScheme {
     fn repair_embedding(&mut self, ppn: Ppn, correct: TruncatedCte) {
         if self.cte_buffer.reconcile(ppn, correct).is_some() {
             if let Some(&(block, slot)) = self.ptb_slot_of.get(&ppn.raw()) {
-                if let Some(slots) = self.ptb_embed.get_mut(&block) {
+                if let Some(Some(slots)) = self.ptb_embed.get_mut(&block) {
                     slots[slot] = Some(correct);
                 }
             }
@@ -651,10 +693,10 @@ impl TwoLevelScheme {
         // Background migration ML2 -> ML1.
         if let Some(frame) = self.ml1_free.pop() {
             stats.ml2_to_ml1_migrations = stats.ml2_to_ml1_migrations.saturating_add(1);
+            // Moved before the sub-chunk is freed: the first move records
+            // the page's ML2 address, which the free may dissolve.
+            self.move_page(id, key, Placement::Ml1 { frame })?;
             self.ml2.try_free(sub, &mut self.ml1_free)?;
-            if !self.pages.set_place(id, Placement::Ml1 { frame }) {
-                return Err(TmccError::UnplacedPage { ppn: key });
-            }
             self.recency.insert_hot(req.ppn);
             // Write the decompressed page into its new frame (background,
             // via the rank-scoped write mode of §VI).
@@ -748,7 +790,15 @@ impl Scheme for TwoLevelScheme {
         if !self.toggles.embedded_ctes {
             return;
         }
-        let slots = self.ptb_embed.get(&block.raw()).copied().unwrap_or([None; PTES_PER_PTB]);
+        let embedding = match self.ptb_embed.get(&block.raw()) {
+            Some(&embedding) => embedding,
+            None => {
+                let embedding = self.initial_embedding(ptb);
+                self.ptb_embed.insert(block.raw(), embedding);
+                embedding
+            }
+        };
+        let slots = embedding.unwrap_or([None; PTES_PER_PTB]);
         for (i, slot) in slots.iter().enumerate() {
             let pte = ptb.entry(i);
             if pte.is_present() {
@@ -858,9 +908,7 @@ impl Scheme for TwoLevelScheme {
             for k in 0..stored_bytes.div_ceil(64) {
                 t = dram.access_background(t, DramAddr::new(sub_addr + (k * 64) as u64), true);
             }
-            if !self.pages.set_place(vid, Placement::Ml2 { sub, comp_bytes: stored_bytes as u32 }) {
-                return Err(TmccError::UnplacedPage { ppn: key });
-            }
+            self.move_page(vid, key, Placement::Ml2 { sub, comp_bytes: stored_bytes as u32 })?;
             if !donated {
                 self.ml1_free.push(frame);
             }
@@ -1205,6 +1253,23 @@ impl Scheme for TwoLevelScheme {
             + self.recency.heap_bytes()
             + self.cte_cache.heap_bytes()
     }
+
+    #[cfg(test)]
+    fn warm_embeddings_eagerly(&mut self, page_table: &PageTable) {
+        if self.toggles.embedded_ctes {
+            for level in 1..=4u8 {
+                for (block, ptb) in page_table.ptbs_at_level(level) {
+                    let embedding = self.initial_embedding(&ptb);
+                    self.ptb_embed.insert(block.raw(), embedding);
+                }
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn initial_cte_reads(&self) -> u64 {
+        self.initial_cte_reads
+    }
 }
 
 #[cfg(test)]
@@ -1533,5 +1598,33 @@ mod tests {
             "inflated pages must be flagged incompressible: {stats:?}"
         );
         assert_eq!(stats.ml1_to_ml2_migrations, 0);
+    }
+
+    /// Data pages reaching into the table region used to share metadata
+    /// slots with the pinned table pages and break frame conservation.
+    #[test]
+    fn table_region_overlapping_data_is_a_typed_error() {
+        let mut pt = PageTable::new(PageTableConfig { table_region_base: 1024, huge_pages: false });
+        for i in 0..4096u64 {
+            pt.map(Vpn::new(i), Ppn::new(i));
+        }
+        let model =
+            SizeModel::from_samples(vec![PageSizes { deflate_bytes: 1200, block_bytes: 3000 }]);
+        let err = TwoLevelScheme::try_new(
+            TmccToggles::full(),
+            CteCacheConfig::tmcc(),
+            model,
+            &pt,
+            4096,
+            4619,
+            7,
+            0.15,
+        )
+        .map(|_| ())
+        .expect_err("overlapping layout must be rejected");
+        assert_eq!(
+            err,
+            TmccError::TableRegionOverlap { data_pages: 4096, table_region_base: 1024 }
+        );
     }
 }

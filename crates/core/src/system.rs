@@ -35,7 +35,7 @@ use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::hierarchy::NOC_LATENCY_NS;
 use tmcc_sim_mem::page_table::WalkStep;
 use tmcc_sim_mem::{CacheHierarchy, HitLevel, PageTable, PageTableConfig, PageWalker, Tlb};
-use tmcc_types::addr::{Ppn, Vpn};
+use tmcc_types::addr::Ppn;
 use tmcc_types::pte::PageTableBlock;
 use tmcc_workloads::{AccessStream, PageStore};
 
@@ -43,9 +43,6 @@ use tmcc_workloads::{AccessStream, PageStore};
 const CORE_NS_PER_CYCLE: f64 = 1.0 / 2.8;
 /// How often (in accesses) background maintenance runs.
 const MAINTENANCE_PERIOD: u64 = 32;
-/// How often (in pages) construction's identity page-map loop polls its
-/// cancellation token.
-const CONSTRUCT_CHECK_PAGES: u64 = 1 << 16;
 
 /// Host-time breakdown of the simulation loop, collected when
 /// `SystemConfig::profile` is set (the `tmcc-bench --profile` flag).
@@ -139,10 +136,17 @@ pub struct System {
     cancel: Option<RunHandle>,
 }
 
+/// Budgeted DRAM the two-level schemes spend on translation metadata: the
+/// CTE table (8 B/page) and the recency list (16 B/page), over data and
+/// table pages alike.
+fn translation_metadata_bytes(pages: u64, table_pages: u64) -> u64 {
+    (pages + table_pages) * 24
+}
+
 impl System {
     /// Builds the system: constructs the page table (identity VPN→PPN for
-    /// the workload's pages), samples the size model, places pages and
-    /// instantiates the scheme.
+    /// the workload's pages, in closed form), samples the size model,
+    /// places pages and instantiates the scheme.
     ///
     /// # Panics
     ///
@@ -164,14 +168,15 @@ impl System {
     }
 
     /// [`System::try_new`] under a cancellation token: construction polls
-    /// `handle` every [`CONSTRUCT_CHECK_PAGES`] pages of the identity
-    /// page-map loop and between stages (after mapping, after size-model
+    /// `handle` between stages (after the page table, after size-model
     /// sampling, after the scheme is built), returning
     /// [`TmccError::Cancelled`] once it has been cancelled, and the built
-    /// system keeps the handle attached for its run. The two-level
-    /// scheme's placement and PTB-embedding warm-up inside
-    /// `TwoLevelScheme::try_new` stay uninterruptible: that constructor is
-    /// also called directly, without a handle.
+    /// system keeps the handle attached for its run. The page table is
+    /// built in O(1) and PTB embeddings materialize on first fetch, so
+    /// the two-level scheme's ML1/ML2 placement inside
+    /// `TwoLevelScheme::try_new` is the only stage that runs in time
+    /// proportional to the footprint, and it stays uninterruptible: that
+    /// constructor is also called directly, without a handle.
     pub fn try_new_cancellable(
         cfg: SystemConfig,
         handle: Option<&RunHandle>,
@@ -180,21 +185,9 @@ impl System {
             Some(h) if h.is_cancelled() => Err(TmccError::Cancelled { at_access: 0 }),
             _ => Ok(()),
         };
-        let mut page_table =
-            PageTable::new(PageTableConfig { huge_pages: cfg.huge_pages, ..Default::default() });
         let pages = cfg.workload.sim_pages;
-        if cfg.huge_pages {
-            for region in 0..pages.div_ceil(512) {
-                page_table.map(Vpn::new(region * 512), Ppn::new(region * 512));
-            }
-        } else {
-            for i in 0..pages {
-                if i.is_multiple_of(CONSTRUCT_CHECK_PAGES) {
-                    poll()?;
-                }
-                page_table.map(Vpn::new(i), Ppn::new(i));
-            }
-        }
+        let page_table =
+            PageTable::identity(PageTableConfig::above_data(pages, cfg.huge_pages), pages);
         poll()?;
         let mut store = PageStore::new(cfg.workload.page_content(cfg.seed));
         let size_model = SizeModel::sample_via(&mut store, cfg.size_samples);
@@ -206,22 +199,16 @@ impl System {
                 Box::new(NoCompressionScheme::new((pages + table_pages) * 4096))
             }
             SchemeKind::Compresso => {
-                let mut ppns: Vec<Ppn> = (0..pages).map(Ppn::new).collect();
-                for level in 1..=4u8 {
-                    for (block, _) in page_table.ptbs_at_level(level) {
-                        ppns.push(block.ppn());
-                    }
-                }
-                ppns.sort_unstable_by_key(|p| p.raw());
-                ppns.dedup();
+                // Data PPNs, then the table region above them: ascending.
+                let ppns = (0..pages).chain(page_table.table_ppns()).map(Ppn::new);
                 Box::new(CompressoScheme::new(cfg.cte_cache, size_model, ppns, cfg.seed))
             }
             SchemeKind::OsInspired | SchemeKind::Tmcc => {
-                // CTE table (8 B/page) and recency list (16 B/page) also
-                // live in the budgeted DRAM.
-                let metadata = (pages + table_pages) * 24;
                 let budget_frames = match cfg.dram_budget_bytes {
-                    Some(b) => (b.saturating_sub(metadata) / 4096) as u32,
+                    Some(b) => {
+                        (b.saturating_sub(translation_metadata_bytes(pages, table_pages)) / 4096)
+                            as u32
+                    }
                     // No pressure: room for everything plus the reserve.
                     None => (pages + table_pages) as u32 + 512,
                 };
@@ -279,23 +266,16 @@ impl System {
     }
 
     /// Smallest feasible DRAM budget in bytes for a workload under the
-    /// two-level schemes.
+    /// two-level schemes (with the configuration's page size).
     pub fn min_budget_bytes(cfg: &SystemConfig) -> u64 {
-        let mut page_table = PageTable::new(PageTableConfig::default());
-        for i in 0..cfg.workload.sim_pages {
-            page_table.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pages = cfg.workload.sim_pages;
+        let table_pages = PageTable::identity_table_pages(pages, cfg.huge_pages);
         let size_model = SizeModel::sample_via(
             &mut PageStore::new(cfg.workload.page_content(cfg.seed)),
             cfg.size_samples,
         );
-        let frames = TwoLevelScheme::min_budget_frames(
-            &size_model,
-            page_table.table_page_count() as u64,
-            cfg.workload.sim_pages,
-        );
-        let metadata = (cfg.workload.sim_pages + page_table.table_page_count() as u64) * 24;
-        frames as u64 * 4096 + metadata
+        let frames = TwoLevelScheme::min_budget_frames(&size_model, table_pages, pages);
+        frames as u64 * 4096 + translation_metadata_bytes(pages, table_pages)
     }
 
     /// The configuration in use.
@@ -699,5 +679,78 @@ mod tests {
         let mut sys = System::try_new_cancellable(small_config(), Some(&handle)).expect("builds");
         handle.cancel();
         assert!(sys.try_run(1_000).is_err_and(|e| e.is_cancelled()));
+    }
+
+    #[test]
+    fn min_budget_is_feasible_at_both_page_sizes() {
+        for huge_pages in [false, true] {
+            let mut cfg = small_config();
+            cfg.huge_pages = huge_pages;
+            let min = System::min_budget_bytes(&cfg);
+            let sys = System::try_new(cfg.clone().with_budget(min));
+            assert!(sys.is_ok(), "huge={huge_pages}: min budget {min} rejected");
+            if huge_pages {
+                cfg.huge_pages = false;
+                assert!(min < System::min_budget_bytes(&cfg), "huge pages need fewer tables");
+            }
+        }
+    }
+
+    /// One run's report JSON and how often its embeddings read the
+    /// initial-CTE overlay, with PTB embeddings warmed eagerly at
+    /// construction (the reference model) or on first fetch.
+    fn embedding_run(cfg: &SystemConfig, eager: bool) -> (String, u64) {
+        let mut sys = System::try_new(cfg.clone()).expect("feasible");
+        if eager {
+            sys.scheme.warm_embeddings_eagerly(&sys.page_table);
+        }
+        let report = sys.try_run(6_000).expect("run");
+        sys.validate().expect("consistent");
+        (serde_json::to_string(&report).expect("serializes"), sys.scheme.initial_cte_reads())
+    }
+
+    #[test]
+    fn first_touch_embeddings_match_eager_warmup() {
+        use crate::config::{BitFlipPlan, FaultKind, FaultPlan};
+        let plans = [
+            (FaultPlan::none(), BitFlipPlan::none()),
+            (
+                FaultPlan::none().with(2_500, FaultKind::StaleEmbeddings { count: 40 }),
+                BitFlipPlan::none(),
+            ),
+            (FaultPlan::none(), BitFlipPlan::storm(2_000, 150, 24)),
+        ];
+        let mut overlay_reads = 0;
+        // kcore's tight point moves pages whose PTB is first fetched
+        // later *and* then reads them, so a wrong initial CTE shows.
+        for name in ["canneal", "kcore"] {
+            for scheme in [SchemeKind::Tmcc, SchemeKind::OsInspired] {
+                for huge_pages in [false, true] {
+                    let mut w = WorkloadProfile::by_name(name).expect("known workload");
+                    w.sim_pages = 1 << 12;
+                    let mut base = SystemConfig::new(w, scheme).with_size_samples(8);
+                    base.huge_pages = huge_pages;
+                    base.warmup_accesses = 2_000;
+                    let tight = System::min_budget_bytes(&base);
+                    for budget in [None, Some(base.footprint_bytes() * 3 / 4), Some(tight)] {
+                        for (faults, flips) in &plans {
+                            let cfg = SystemConfig { dram_budget_bytes: budget, ..base.clone() }
+                                .with_fault_plan(faults.clone())
+                                .with_flip_plan(flips.clone());
+                            let (lazy, reads) = embedding_run(&cfg, false);
+                            let (eager, _) = embedding_run(&cfg, true);
+                            assert_eq!(
+                                lazy,
+                                eager,
+                                "{name} {} huge={huge_pages} budget={budget:?}",
+                                scheme.name()
+                            );
+                            overlay_reads += reads;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(overlay_reads > 0, "no page moved before its PTB was first fetched");
     }
 }

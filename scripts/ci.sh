@@ -10,6 +10,13 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench self-tests (cargo test --release, own package)"
+# The benchmark crate sits outside the workspace. Its tests check that a
+# run sliced into try_run_slice calls reports byte-identically to one
+# call, and that its construction replicas still account for
+# System::try_new, so construction changes must keep them green.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
