@@ -13,7 +13,7 @@
 //!
 //! Every `par_map` point runs inside a `catch_unwind` ring: a panicking, erroring, or timed-out point is
 //! retried up to `--retries` times (each retry deterministically
-//! re-seeded in [`SweepCtx::tune`]), and a point that exhausts its
+//! re-seeded in `SweepCtx::tune`), and a point that exhausts its
 //! retries is quarantined into `results/FAILURES.json` — its experiment
 //! aborts, the rest of the fleet keeps running. Every simulation a point
 //! runs goes through one journaled runner (`SweepCtx::run_journaled`):

@@ -1,12 +1,12 @@
 //! Criterion benchmarks of the simulator's hot-path bookkeeping
-//! structures: the arithmetic-handle [`PageSlab`], the sampled intrusive
-//! [`RecencyList`], and the FxHash maps versus `std`'s SipHash default.
+//! structures: the sampled intrusive [`RecencyList`] and the FxHash maps
+//! versus `std`'s SipHash default.
 //! Every simulated access crosses these structures at least once, so
 //! their per-op cost is the floor of the whole simulator's throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
-use tmcc::{PageSlab, RecencyList};
+use tmcc::RecencyList;
 use tmcc_types::addr::Ppn;
 use tmcc_types::FxHashMap;
 
@@ -25,42 +25,6 @@ fn ppns(seed: u64, bound: u64, n: usize) -> Vec<u64> {
             (z ^ (z >> 31)) % bound
         })
         .collect()
-}
-
-fn bench_page_slab(c: &mut Criterion) {
-    let mut slab: PageSlab<u64> = PageSlab::new(0);
-    for ppn in 0..PAGES {
-        slab.insert(ppn, ppn * 3);
-    }
-    let lookups = ppns(1, PAGES, OPS);
-
-    let mut g = c.benchmark_group("page-slab");
-    g.throughput(Throughput::Elements(OPS as u64));
-    g.bench_function("insert/64Ki", |b| {
-        b.iter(|| {
-            let mut s: PageSlab<u64> = PageSlab::new(0);
-            for ppn in 0..OPS as u64 {
-                s.insert(ppn, ppn);
-            }
-            black_box(s.len())
-        })
-    });
-    g.bench_function("get/64Ki", |b| {
-        b.iter(|| {
-            for &ppn in &lookups {
-                black_box(slab.get(ppn));
-            }
-        })
-    });
-    g.bench_function("get-id/64Ki", |b| {
-        let ids: Vec<_> = lookups.iter().map(|&p| slab.id_of(p).expect("resident")).collect();
-        b.iter(|| {
-            for &id in &ids {
-                black_box(slab.get_id(id));
-            }
-        })
-    });
-    g.finish();
 }
 
 fn bench_recency_list(c: &mut Criterion) {
@@ -135,5 +99,5 @@ fn bench_hash_maps(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_page_slab, bench_recency_list, bench_hash_maps);
+criterion_group!(benches, bench_recency_list, bench_hash_maps);
 criterion_main!(benches);

@@ -1,10 +1,18 @@
 //! Packed per-page metadata for the two-level schemes.
 //!
-//! The schemes used to keep a boxed-struct [`PageSlab`] entry per page
-//! (stored CTE + placement enum + flags, ~40 B with the `Option`
-//! discriminant). At datacenter-scale footprints that dominates host
-//! memory, so [`PageMetaStore`] packs the same state into one 64-bit word
-//! per page plus a residency bit and a 32-bit dirty epoch (~12.2 B/page):
+//! The simulator's physical page numbers are dense by construction: data
+//! pages are identity-mapped from 0, and page-table pages are allocated
+//! sequentially from the table-region base (`PageTable::table_region_base`,
+//! 2^26 by default). [`PageMetaStore`] keys per-page state by a compact
+//! [`PageId`] handle derived *arithmetically* from the PPN — one
+//! comparison and one subtraction — so the steady-state access path
+//! indexes dense arrays instead of hashing on every page touch.
+//!
+//! A boxed per-page struct (stored CTE + placement enum + flags) would
+//! take ~40 B with the `Option` discriminant, which dominates host memory
+//! at datacenter-scale footprints, so the store packs the same state into
+//! one 64-bit word per page plus a residency bit and a 32-bit dirty epoch
+//! (~12.2 B/page):
 //!
 //! ```text
 //! bit  0      level (0 = ML1, 1 = ML2)
@@ -21,16 +29,35 @@
 //! the schemes never populate the pair vector), so the scheme
 //! reconstructs it on demand instead of keeping an 8-byte mirror in sync.
 //!
-//! Layout and addressing mirror [`PageSlab`]: two dense regions (data
-//! pages keyed by PPN, table pages keyed by PPN − `table_base`) indexed
-//! arithmetically through the same [`PageId`] handle, with residency
-//! tracked by a succinct [`BitVec`] instead of `Option` discriminants.
-//!
-//! [`PageSlab`]: crate::page_slab::PageSlab
+//! The layout has two dense regions (data pages keyed by PPN, table pages
+//! keyed by PPN − `table_base`), with residency tracked by a succinct
+//! [`BitVec`] instead of `Option` discriminants.
 
 use crate::free_list::SubChunk;
-use crate::page_slab::{PageId, TABLE_BIT};
 use tmcc_types::bitvec::BitVec;
+
+/// Compact handle of a page's slot in a [`PageMetaStore`]: a region bit
+/// (data vs. table) plus the index within the region. Derived once per
+/// request and reused for every lookup the request needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageId(u32);
+
+/// Region bit: set for table-region pages.
+const TABLE_BIT: u32 = 1 << 31;
+
+impl PageId {
+    /// The region-local index.
+    #[inline]
+    fn index(self) -> usize {
+        (self.0 & !TABLE_BIT) as usize
+    }
+
+    /// Whether the handle points into the table region.
+    #[inline]
+    fn is_table(self) -> bool {
+        self.0 & TABLE_BIT != 0
+    }
+}
 
 /// Where a page's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,9 +185,7 @@ impl Region {
 }
 
 /// Packed per-page state keyed by dense PPN, split into the two dense
-/// regions of the simulator's physical layout (see [`PageSlab`]).
-///
-/// [`PageSlab`]: crate::page_slab::PageSlab
+/// regions of the simulator's physical layout (see the module docs).
 ///
 /// # Examples
 ///
@@ -204,10 +229,10 @@ impl PageMetaStore {
     #[inline]
     pub fn id_of(&self, ppn: u64) -> Option<PageId> {
         if ppn < self.table_base {
-            (ppn < TABLE_BIT as u64).then(|| PageId::from_raw(ppn as u32))
+            (ppn < TABLE_BIT as u64).then_some(PageId(ppn as u32))
         } else {
             let off = ppn - self.table_base;
-            (off < TABLE_BIT as u64).then(|| PageId::from_raw(off as u32 | TABLE_BIT))
+            (off < TABLE_BIT as u64).then_some(PageId(off as u32 | TABLE_BIT))
         }
     }
 

@@ -1,4 +1,4 @@
-//! The Compresso baseline (paper §III, reference [6]).
+//! The Compresso baseline (paper §III, reference \[6\]).
 //!
 //! Block-level compression for capacity: every page is stored as
 //! individually compressed 64 B blocks packed into 512 B chunks from a
@@ -8,7 +8,6 @@
 //! is — the serial translation TMCC attacks (Fig. 8a).
 
 use super::{metadata_dram_addr, MemRequest, Scheme};
-use crate::config::SchemeKind;
 use crate::error::TmccError;
 use crate::free_list::CompressoFreeList;
 use crate::size_model::SizeModel;
@@ -75,11 +74,6 @@ impl CompressoScheme {
         s
     }
 
-    /// Hit rate of the metadata (CTE) cache so far.
-    pub fn metadata_hit_rate(&self) -> f64 {
-        self.meta_cache.hit_rate()
-    }
-
     fn data_addr(&self, req: &MemRequest) -> Result<DramAddr, TmccError> {
         let page =
             self.pages.get(&req.ppn.raw()).ok_or(TmccError::UnplacedPage { ppn: req.ppn.raw() })?;
@@ -125,10 +119,6 @@ impl CompressoScheme {
 }
 
 impl Scheme for CompressoScheme {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Compresso
-    }
-
     fn access(
         &mut self,
         req: &MemRequest,

@@ -14,7 +14,7 @@ pub use compresso::CompressoScheme;
 pub use nocomp::NoCompressionScheme;
 pub use two_level::TwoLevelScheme;
 
-use crate::config::{BitFlipEvent, FaultKind, SchemeKind};
+use crate::config::{BitFlipEvent, FaultKind};
 use crate::error::TmccError;
 use crate::stats::SimStats;
 use tmcc_sim_dram::DramSim;
@@ -82,9 +82,6 @@ pub struct MemRequest {
 /// [`System`](crate::System)s (scheme included) across worker threads
 /// when it dispatches a round's quanta onto the work-stealing pool.
 pub trait Scheme: Send {
-    /// Which scheme this is.
-    fn kind(&self) -> SchemeKind;
-
     /// Services an LLC-miss read (or write-allocate). Returns the MC+DRAM
     /// service latency in ns (excluding the on-chip/NoC part, which the
     /// caller accounts).
@@ -214,14 +211,14 @@ pub trait Scheme: Send {
 const TABLE_ROW_STRIDE: u64 = 8192;
 
 /// DRAM address of the page-level CTE for `ppn` (8 B entries; see
-/// [`TABLE_ROW_STRIDE`] for the placement rationale).
+/// `TABLE_ROW_STRIDE` for the placement rationale).
 pub fn cte_dram_addr(ppn: Ppn) -> u64 {
     CTE_TABLE_BASE + (ppn.raw() / 8) * TABLE_ROW_STRIDE + (ppn.raw() % 8) * 8
 }
 
 /// DRAM address of the block-level metadata entry for `ppn` (64 B
 /// entries, Compresso; one entry per simulated row, see
-/// [`TABLE_ROW_STRIDE`]).
+/// `TABLE_ROW_STRIDE`).
 pub fn metadata_dram_addr(ppn: Ppn) -> u64 {
     CTE_TABLE_BASE + (1 << 38) + ppn.raw() * TABLE_ROW_STRIDE
 }

@@ -4,7 +4,6 @@
 //! straight to DRAM with no CTE translation of any kind.
 
 use super::{MemRequest, Scheme};
-use crate::config::SchemeKind;
 use crate::error::TmccError;
 use crate::stats::SimStats;
 use tmcc_sim_dram::DramSim;
@@ -24,10 +23,6 @@ impl NoCompressionScheme {
 }
 
 impl Scheme for NoCompressionScheme {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::NoCompression
-    }
-
     fn access(
         &mut self,
         req: &MemRequest,

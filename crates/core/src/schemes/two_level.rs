@@ -27,11 +27,10 @@
 //! conservation and CTE/placement consistency at any point.
 
 use super::{cte_dram_addr, FlipPageContext, MemRequest, Scheme, SchemePressure};
-use crate::config::{BitFlipEvent, FaultKind, FlipShape, FlipTarget, SchemeKind, TmccToggles};
+use crate::config::{BitFlipEvent, FaultKind, FlipShape, FlipTarget, TmccToggles};
 use crate::error::TmccError;
 use crate::free_list::{Ml1FreeList, Ml2FreeLists};
-use crate::page_meta::{PageInfo, PageMetaStore, Placement};
-use crate::page_slab::PageId;
+use crate::page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 use crate::recency::RecencyList;
 use crate::size_model::SizeModel;
 use crate::stats::SimStats;
@@ -108,8 +107,6 @@ pub struct TwoLevelScheme {
     /// Embedded CTEs taken from `initial_ctes` while materializing.
     #[cfg(test)]
     initial_cte_reads: u64,
-    /// Latest PTB location of each PPN's PTE, for lazy repair.
-    ptb_slot_of: FxHashMap<u64, (u64, usize)>,
     size_model: SizeModel,
     timing: DeflateTiming,
     ibm: IbmDeflateModel,
@@ -226,7 +223,6 @@ impl TwoLevelScheme {
             initial_ctes: FxHashMap::default(),
             #[cfg(test)]
             initial_cte_reads: 0,
-            ptb_slot_of: FxHashMap::default(),
             size_model,
             timing: DeflateTiming::default(),
             ibm: IbmDeflateModel::default(),
@@ -363,6 +359,14 @@ impl TwoLevelScheme {
         let ml2_frames = (ml2_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64) as u32;
         let reserve = ((table_pages + data_pages) as u32 / 40).max(64);
         table_pages as u32 + ml2_frames + reserve + 8
+    }
+
+    /// DRAM the scheme spends on translation metadata for `pages` placed
+    /// pages (data and table pages alike): the CTE table plus the recency
+    /// list. Budgets are net of it, and [`Scheme::dram_used_bytes`]
+    /// counts it.
+    pub(crate) fn translation_metadata_bytes(pages: u64) -> u64 {
+        pages * Cte::SIZE_IN_DRAM as u64 + RecencyList::dram_overhead_bytes(pages)
     }
 
     /// Whether the scheme is currently in degraded mode (free list below
@@ -611,13 +615,12 @@ impl TwoLevelScheme {
     }
 
     /// Reconcile the CTE buffer and the stored PTB embedding with the
-    /// verified CTE (the lazy update of §V-A2/3).
+    /// verified CTE (the lazy update of §V-A2/3). The buffer entry names
+    /// the PTE to fix; a page whose entry is gone is not repaired.
     fn repair_embedding(&mut self, ppn: Ppn, correct: TruncatedCte) {
-        if self.cte_buffer.reconcile(ppn, correct).is_some() {
-            if let Some(&(block, slot)) = self.ptb_slot_of.get(&ppn.raw()) {
-                if let Some(Some(slots)) = self.ptb_embed.get_mut(&block) {
-                    slots[slot] = Some(correct);
-                }
+        if let Some((block, slot)) = self.cte_buffer.reconcile(ppn, correct) {
+            if let Some(Some(slots)) = self.ptb_embed.get_mut(&block.raw()) {
+                slots[slot] = Some(correct);
             }
         }
     }
@@ -712,14 +715,6 @@ impl TwoLevelScheme {
 }
 
 impl Scheme for TwoLevelScheme {
-    fn kind(&self) -> SchemeKind {
-        if self.toggles.embedded_ctes && self.toggles.fast_deflate {
-            SchemeKind::Tmcc
-        } else {
-            SchemeKind::OsInspired
-        }
-    }
-
     fn access(
         &mut self,
         req: &MemRequest,
@@ -802,8 +797,7 @@ impl Scheme for TwoLevelScheme {
         for (i, slot) in slots.iter().enumerate() {
             let pte = ptb.entry(i);
             if pte.is_present() {
-                self.cte_buffer.insert(pte.ppn(), *slot, block);
-                self.ptb_slot_of.insert(pte.ppn().raw(), (block.raw(), i));
+                self.cte_buffer.insert(pte.ppn(), *slot, block, i);
             }
         }
     }
@@ -1241,9 +1235,7 @@ impl Scheme for TwoLevelScheme {
         // count towards use until eviction retires them.
         let frames_in_use =
             self.total_frames as u64 + self.reclaim_debt - self.ml1_free.len() as u64;
-        let cte_table = self.pages.len() as u64 * Cte::SIZE_IN_DRAM as u64;
-        let recency = RecencyList::dram_overhead_bytes(self.pages.len() as u64);
-        frames_in_use * PAGE_SIZE as u64 + cte_table + recency
+        frames_in_use * PAGE_SIZE as u64 + Self::translation_metadata_bytes(self.pages.len() as u64)
     }
 
     fn metadata_heap_bytes(&self) -> usize {
@@ -1395,27 +1387,82 @@ mod tests {
         assert_eq!(stats.ml1_serial, 1);
     }
 
+    /// Delivers the leaf PTB mapping page `ppn`, as the walker would, and
+    /// returns that PTB's block and the page's PTE slot in it.
+    fn fetch_leaf(s: &mut TwoLevelScheme, pt: &PageTable, ppn: u64) -> (u64, usize) {
+        let step = *pt.walk_path(Vpn::new(ppn)).unwrap().last().unwrap();
+        assert_eq!(step.next_ppn, Ppn::new(ppn));
+        let ptb = pt.ptb_at(step.ptb_block).unwrap();
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        (step.ptb_block.raw(), step.slot)
+    }
+
+    /// Secretly moves ML1 page `ppn` to a fresh frame, leaving every
+    /// embedding of its CTE stale.
+    fn move_to_fresh_frame(s: &mut TwoLevelScheme, ppn: u64) {
+        let id = s.pages.id_of(ppn).unwrap();
+        assert!(matches!(s.pages.get_id(id).unwrap().place, Placement::Ml1 { .. }));
+        let new_frame = s.ml1_free.pop().unwrap();
+        assert!(s.pages.set_place(id, Placement::Ml1 { frame: new_frame }));
+    }
+
     #[test]
     fn stale_embedding_detected_and_repaired() {
         let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
         let mut d = dram();
         let mut stats = SimStats::default();
-        let step = *pt.walk_path(Vpn::new(5)).unwrap().last().unwrap();
-        let ptb = pt.ptb_at(step.ptb_block).unwrap();
-        s.on_ptb_fetched(step.ptb_block, &ptb);
-        // Secretly migrate page 5 to a different frame.
-        let new_frame = s.ml1_free.pop().unwrap();
-        let id = s.pages.id_of(5).unwrap();
-        assert!(s.pages.set_place(id, Placement::Ml1 { frame: new_frame }));
-        let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
-        assert_eq!(stats.ml1_parallel_mismatch, 1);
-        // The embedding has been lazily repaired: next fetch+access is
-        // parallel-correct.
-        let ptb = pt.ptb_at(step.ptb_block).unwrap();
-        s.cte_cache.invalidate(Ppn::new(5));
-        s.on_ptb_fetched(step.ptb_block, &ptb);
-        let _ = s.access(&read_req(5, true), 1_000_000.0, &mut d, &mut stats).unwrap();
-        assert_eq!(stats.ml1_parallel_correct, 1, "{stats:?}");
+        let mut now = 0.0;
+        // Block 0 of the first leaf table, a later block of it, and a page
+        // mapped by another leaf table.
+        let pages = [5u64, 13, 1000];
+        let blocks: Vec<(u64, usize)> = pages.iter().map(|&p| fetch_leaf(&mut s, &pt, p)).collect();
+        assert_ne!(blocks[0].0, blocks[1].0);
+        assert_ne!(blocks[0].0 / 64, blocks[2].0 / 64, "page 1000 needs its own leaf table");
+        for (n, (&ppn, &(block, slot))) in pages.iter().zip(&blocks).enumerate() {
+            move_to_fresh_frame(&mut s, ppn);
+            let before = s.ptb_embed[&block].unwrap();
+            let _ = s.access(&read_req(ppn, true), now, &mut d, &mut stats).unwrap();
+            now += 1_000_000.0;
+            assert_eq!(stats.ml1_parallel_mismatch, n as u64 + 1, "page {ppn}");
+            // The lazy repair rewrote exactly the page's own slot.
+            let correct = s.truncated_cte(ppn);
+            let mut expected = before;
+            expected[slot] = correct;
+            assert_eq!(s.ptb_embed[&block].unwrap(), expected, "page {ppn}");
+            // The embedding has been lazily repaired: the next fetch +
+            // access is parallel-correct.
+            s.cte_cache.invalidate(Ppn::new(ppn));
+            fetch_leaf(&mut s, &pt, ppn);
+            let _ = s.access(&read_req(ppn, true), now, &mut d, &mut stats).unwrap();
+            now += 1_000_000.0;
+            assert_eq!(stats.ml1_parallel_correct, n as u64 + 1, "page {ppn}: {stats:?}");
+        }
+
+        // Once the buffer has evicted a page's entry, nothing names the
+        // PTE to repair, so the stored embedding stays stale.
+        let ppn = 6;
+        let (block, slot) = fetch_leaf(&mut s, &pt, ppn);
+        move_to_fresh_frame(&mut s, ppn);
+        let stale = s.ptb_embed[&block].unwrap();
+        // Sixteen other leaf PTBs harvest 128 PTEs, cycling the 64-entry
+        // buffer past page 6's entry.
+        for other in (64..192).step_by(8) {
+            fetch_leaf(&mut s, &pt, other);
+        }
+        assert!(s.cte_buffer.lookup(Ppn::new(ppn)).is_none(), "entry must be evicted");
+        let serial = stats.ml1_serial;
+        s.cte_cache.invalidate(Ppn::new(ppn));
+        let _ = s.access(&read_req(ppn, true), now, &mut d, &mut stats).unwrap();
+        now += 1_000_000.0;
+        assert_eq!(stats.ml1_serial, serial + 1, "no entry, no speculation: {stats:?}");
+        assert_eq!(s.ptb_embed[&block].unwrap(), stale);
+        assert_ne!(stale[slot], s.truncated_cte(ppn));
+        // So the next fetch re-harvests the stale CTE and mispredicts.
+        let mismatches = stats.ml1_parallel_mismatch;
+        s.cte_cache.invalidate(Ppn::new(ppn));
+        fetch_leaf(&mut s, &pt, ppn);
+        let _ = s.access(&read_req(ppn, true), now, &mut d, &mut stats).unwrap();
+        assert_eq!(stats.ml1_parallel_mismatch, mismatches + 1, "{stats:?}");
     }
 
     #[test]

@@ -136,13 +136,6 @@ pub struct System {
     cancel: Option<RunHandle>,
 }
 
-/// Budgeted DRAM the two-level schemes spend on translation metadata: the
-/// CTE table (8 B/page) and the recency list (16 B/page), over data and
-/// table pages alike.
-fn translation_metadata_bytes(pages: u64, table_pages: u64) -> u64 {
-    (pages + table_pages) * 24
-}
-
 impl System {
     /// Builds the system: constructs the page table (identity VPN→PPN for
     /// the workload's pages, in closed form), samples the size model,
@@ -206,8 +199,9 @@ impl System {
             SchemeKind::OsInspired | SchemeKind::Tmcc => {
                 let budget_frames = match cfg.dram_budget_bytes {
                     Some(b) => {
-                        (b.saturating_sub(translation_metadata_bytes(pages, table_pages)) / 4096)
-                            as u32
+                        let metadata =
+                            TwoLevelScheme::translation_metadata_bytes(pages + table_pages);
+                        (b.saturating_sub(metadata) / 4096) as u32
                     }
                     // No pressure: room for everything plus the reserve.
                     None => (pages + table_pages) as u32 + 512,
@@ -275,7 +269,7 @@ impl System {
             cfg.size_samples,
         );
         let frames = TwoLevelScheme::min_budget_frames(&size_model, table_pages, pages);
-        frames as u64 * 4096 + translation_metadata_bytes(pages, table_pages)
+        frames as u64 * 4096 + TwoLevelScheme::translation_metadata_bytes(pages + table_pages)
     }
 
     /// The configuration in use.
@@ -400,9 +394,6 @@ impl System {
         let mem_start_ns = self.now_ns;
 
         let vpn = ev.vaddr.vpn();
-        let is_tmcc_ptb = matches!(self.cfg.scheme, SchemeKind::Tmcc)
-            && self.cfg.toggles.embedded_ctes
-            && !self.cfg.huge_pages;
 
         let t1 = t0.map(|_| Instant::now());
 
@@ -426,7 +417,7 @@ impl System {
                 };
                 for &(step, ptb) in walk_buf.iter() {
                     self.stats.walker_fetches = self.stats.walker_fetches.saturating_add(1);
-                    let acc = self.hierarchy.access(step.ptb_block, false, is_tmcc_ptb);
+                    let acc = self.hierarchy.access(step.ptb_block, false);
                     let mut lat = acc.latency_ns;
                     if acc.level == HitLevel::Memory {
                         self.stats.llc_miss_ptb = self.stats.llc_miss_ptb.saturating_add(1);
@@ -464,7 +455,7 @@ impl System {
 
         // 2. The data access itself.
         let block = ppn.block(ev.vaddr.page_offset() as usize / 64);
-        let acc = self.hierarchy.access(block, ev.write, false);
+        let acc = self.hierarchy.access(block, ev.write);
         let mut lat = acc.latency_ns;
         if acc.level == HitLevel::Memory {
             self.stats.llc_miss_data = self.stats.llc_miss_data.saturating_add(1);
@@ -617,13 +608,6 @@ impl System {
     /// The lazy page-content store backing this system's workload.
     pub fn page_store(&self) -> &PageStore {
         &self.store
-    }
-
-    /// Mutable access to the page store — the footprint experiments drive
-    /// generate-on-read / verify-on-write sweeps against the very content
-    /// the system sampled its size model from.
-    pub fn page_store_mut(&mut self) -> &mut PageStore {
-        &mut self.store
     }
 
     /// Host heap bytes this system's scheme metadata occupies (0 for

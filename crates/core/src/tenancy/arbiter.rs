@@ -6,8 +6,7 @@
 //! touches a tenant's `System` — the
 //! [`MultiTenantSystem`](super::MultiTenantSystem) translates allocation
 //! deltas into balloon faults ([`FaultKind::ShrinkBudget`] /
-//! [`FaultKind::GrowBudget`](crate::config::FaultKind::GrowBudget)) on the
-//! tenant simulators.
+//! [`FaultKind::GrowBudget`]) on the tenant simulators.
 //!
 //! # The incremental demand ledger
 //!
@@ -220,7 +219,7 @@ impl CapacityArbiter {
                 s.slots.push(slot);
             }
         }
-        self.policy.policy().allocate_into(self.pool_frames, &s.demands, &mut s.alloc, &mut s.qos);
+        self.policy.allocate_into(self.pool_frames, &s.demands, &mut s.alloc, &mut s.qos);
         for a in self.allocations.iter_mut() {
             *a = None;
         }
@@ -299,7 +298,7 @@ impl CapacityArbiter {
                 slots.push(slot);
             }
         }
-        let reference = self.policy.policy().allocate(self.pool_frames, &demands);
+        let reference = self.policy.allocate(self.pool_frames, &demands);
         let mut expect = vec![None; self.allocations.len()];
         for (&slot, &frames) in slots.iter().zip(&reference) {
             expect[slot] = Some(frames);

@@ -42,9 +42,8 @@
 //!    are byte-identical at any `--jobs` count — the same discipline the
 //!    sweep harness uses across points, applied within one point.
 //!
-//! `TMCC_MT_SERIAL_QUANTA=1` forces phase 2 onto the calling thread
-//! (identical results, used to measure the parallel speedup). Arbiter
-//! work follows the incremental-ledger design described in
+//! With `--jobs 1` or no installed pool, phase 2 runs inline on the
+//! calling thread with identical results. Arbiter work follows the incremental-ledger design described in
 //! [`CapacityArbiter`]: events push O(1) demand deltas, and one batched
 //! rebalance per barrier materializes allocations.
 
@@ -61,14 +60,6 @@ use super::arbiter::CapacityArbiter;
 use super::churn::{ChurnEvent, ChurnKind, ChurnPlan};
 use super::qos::{QosPolicyKind, TenantDemand};
 use super::report::{MultiTenantReport, TenantReport};
-
-/// `TMCC_MT_SERIAL_QUANTA=1` forces every batch of tenant quanta (and
-/// the initial-roster warmups) onto the calling thread — the measured
-/// serial baseline for the scale-out speedup, byte-identical to the
-/// parallel path by construction.
-fn serial_quanta_override() -> bool {
-    std::env::var_os("TMCC_MT_SERIAL_QUANTA").is_some_and(|v| v == "1")
-}
 
 /// Consecutive degraded rounds before a tenant is quarantined.
 pub const ENTER_ROUNDS: u32 = 2;
@@ -124,12 +115,6 @@ impl TenantSpec {
     pub fn resident_frames(workload: &WorkloadProfile) -> u32 {
         let pages = workload.sim_pages;
         (pages + pages.div_ceil(512) + 16 + 64).min(u32::MAX as u64) as u32
-    }
-
-    /// Sets the share weight (builder style).
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight.max(1);
-        self
     }
 
     /// Sets the QoS floor (builder style).
@@ -486,7 +471,6 @@ impl MultiTenantSystem {
     /// work-stealing pool. Commit replays in slot order, so the roster is
     /// byte-identical to the serial fallback at any worker count.
     fn admit_initial_roster(&mut self) -> Result<(), TmccError> {
-        let force_serial = serial_quanta_override();
         let initial = self.cfg.initial_tenants.min(self.slots.len());
         let mut admitted: Vec<usize> = Vec::with_capacity(initial);
         for slot in 0..initial {
@@ -518,11 +502,8 @@ impl MultiTenantSystem {
             });
             (slot, grant, built)
         };
-        let built: Vec<(usize, u32, Result<System, TmccError>)> = if force_serial {
-            work.into_iter().map(build).collect()
-        } else {
-            work.into_par_iter().map(build).collect()
-        };
+        let built: Vec<(usize, u32, Result<System, TmccError>)> =
+            work.into_par_iter().map(build).collect();
         for (slot, grant, result) in built {
             match result {
                 Ok(sys) => {
@@ -884,7 +865,6 @@ impl MultiTenantSystem {
     /// failures evict the offender and keep the scenario alive; only
     /// cancellation and (under `audit`) invariant violations abort.
     pub fn try_run(&mut self, total_accesses: u64) -> Result<MultiTenantReport, TmccError> {
-        let force_serial = serial_quanta_override();
         // Reused per-round scratch: the quantum plan and its outcomes.
         let mut plan: Vec<(usize, u64, bool)> = Vec::new();
         while self.global_accesses < total_accesses {
@@ -916,9 +896,8 @@ impl MultiTenantSystem {
             // Execute (parallel): tenant systems are independent between
             // round barriers, so the planned slices fan out onto the
             // ambient work-stealing pool; outcomes come back in plan
-            // order. With no ambient pool (or `--jobs 1`, or the serial
-            // override) this degenerates to the same loop run inline —
-            // byte-identical either way.
+            // order. With no ambient pool (or `--jobs 1`) this degenerates
+            // to the same loop run inline — byte-identical either way.
             let outcomes: Vec<Result<(), TmccError>> = {
                 let mut work: Vec<(&mut System, u64)> = Vec::with_capacity(plan.len());
                 let mut planned = plan.iter();
@@ -931,11 +910,7 @@ impl MultiTenantSystem {
                         next = planned.next();
                     }
                 }
-                if force_serial {
-                    work.into_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
-                } else {
-                    work.into_par_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
-                }
+                work.into_par_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
             };
 
             // Commit (serial, slot order): counters, the global clock and

@@ -2,8 +2,7 @@
 //!
 //! Used for the L1/L2/LLC tag arrays, the TLB, the page-walk cache and the
 //! CTE cache. The model tracks tags, dirtiness and one *payload* value per
-//! line (used, e.g., to hold the "compressed PTB" data bit the paper adds
-//! to every L2/L3 cacheline, §V-A4).
+//! line (the TLB's translated PPN, the CTE buffer's entry).
 
 /// One resident line.
 #[derive(Debug, Clone)]

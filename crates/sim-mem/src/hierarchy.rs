@@ -6,9 +6,13 @@
 //!
 //! The model is tag-accurate (exact hit/miss behaviour under LRU) and
 //! latency-additive; it reports dirty evictions so the memory controller
-//! model can account for writebacks and for the compressed-PTB data bit the
-//! paper adds to every L2/L3 line (§V-A4) — tracked here as the line
-//! payload.
+//! model can account for writebacks.
+//!
+//! The paper adds a data bit to every L2/L3 line marking a compressed PTB
+//! (§V-A4), so L2 knows when to harvest embedded CTEs. Here that bit is
+//! implicit: the walker hands each fetched PTB to
+//! `Scheme::on_ptb_fetched` in the `tmcc` crate, which is the harvest
+//! trigger, so the lines store no payload.
 
 use crate::cache::SetAssocCache;
 use tmcc_types::addr::BlockAddr;
@@ -78,10 +82,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Whether a line holds a hardware-compressed PTB (the extra data bit of
-/// §V-A4). Tracked in L2/L3 payloads.
-pub type CompressedBit = bool;
-
 /// The cache hierarchy.
 ///
 /// # Examples
@@ -91,17 +91,17 @@ pub type CompressedBit = bool;
 /// use tmcc_types::addr::BlockAddr;
 ///
 /// let mut h = CacheHierarchy::new(HierarchyConfig::default());
-/// let first = h.access(BlockAddr::new(42), false, false);
+/// let first = h.access(BlockAddr::new(42), false);
 /// assert_eq!(first.level, HitLevel::Memory);
-/// let again = h.access(BlockAddr::new(42), false, false);
+/// let again = h.access(BlockAddr::new(42), false);
 /// assert_eq!(again.level, HitLevel::L1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     cfg: HierarchyConfig,
     l1: SetAssocCache<()>,
-    l2: SetAssocCache<CompressedBit>,
-    l3: SetAssocCache<CompressedBit>,
+    l2: SetAssocCache<()>,
+    l3: SetAssocCache<()>,
     /// Access counts per level outcome (L1 hits, L2 hits, L3 hits, misses).
     counts: [u64; 4],
 }
@@ -119,9 +119,8 @@ impl CacheHierarchy {
         }
     }
 
-    /// Accesses `block`. `compressed_ptb` sets the new-data bit when the
-    /// line is (re)filled into L2/L3 — pass `false` for ordinary data.
-    pub fn access(&mut self, block: BlockAddr, write: bool, compressed_ptb: bool) -> MemAccess {
+    /// Accesses `block` (a store when `write`).
+    pub fn access(&mut self, block: BlockAddr, write: bool) -> MemAccess {
         let key = block.raw();
         let t = &self.cfg;
         let l1_ns = t.l1_cycles as f64 * NS_PER_CYCLE;
@@ -131,15 +130,15 @@ impl CacheHierarchy {
         if self.l1.access(key, write, ()).0.is_hit() {
             self.counts[0] = self.counts[0].saturating_add(1);
             // L2 is inclusive of L1; keep its copy warm for recency.
-            let _ = self.l2.access(key, write, compressed_ptb);
+            let _ = self.l2.access(key, write, ());
             return MemAccess { level: HitLevel::L1, latency_ns: l1_ns, writeback: None };
         }
         let mut writeback = None;
-        if self.l2.access(key, write, compressed_ptb).0.is_hit() {
+        if self.l2.access(key, write, ()).0.is_hit() {
             self.counts[1] = self.counts[1].saturating_add(1);
             return MemAccess { level: HitLevel::L2, latency_ns: l2_ns, writeback: None };
         }
-        let (l3_outcome, l3_victim) = self.l3.access(key, write, compressed_ptb);
+        let (l3_outcome, l3_victim) = self.l3.access(key, write, ());
         if l3_outcome.is_hit() {
             self.counts[2] = self.counts[2].saturating_add(1);
             return MemAccess { level: HitLevel::L3, latency_ns: l3_ns, writeback: None };
@@ -152,18 +151,6 @@ impl CacheHierarchy {
             }
         }
         MemAccess { level: HitLevel::Memory, latency_ns: l3_ns + NOC_LATENCY_NS, writeback }
-    }
-
-    /// Whether the L2 copy of `block` carries the compressed-PTB bit.
-    pub fn l2_compressed_bit(&self, block: BlockAddr) -> Option<bool> {
-        self.l2.payload(block.raw()).copied()
-    }
-
-    /// Sets the compressed-PTB bit on a resident L2 line.
-    pub fn set_l2_compressed_bit(&mut self, block: BlockAddr, v: bool) {
-        if let Some(b) = self.l2.payload_mut(block.raw()) {
-            *b = v;
-        }
     }
 
     /// Drops `block` from every level (used by page-migration flows).
@@ -208,18 +195,18 @@ mod tests {
     #[test]
     fn miss_then_l1_hit() {
         let mut h = h();
-        assert_eq!(h.access(BlockAddr::new(1), false, false).level, HitLevel::Memory);
-        assert_eq!(h.access(BlockAddr::new(1), false, false).level, HitLevel::L1);
+        assert_eq!(h.access(BlockAddr::new(1), false).level, HitLevel::Memory);
+        assert_eq!(h.access(BlockAddr::new(1), false).level, HitLevel::L1);
         assert_eq!(h.counts(), [1, 0, 0, 1]);
     }
 
     #[test]
     fn latencies_match_table3() {
         let mut h = h();
-        let miss = h.access(BlockAddr::new(7), false, false);
+        let miss = h.access(BlockAddr::new(7), false);
         // 64 cycles @2.8 GHz + 18 ns NoC ≈ 40.9 ns on-chip for a full miss.
         assert!((miss.latency_ns - (64.0 / 2.8 + 18.0)).abs() < 0.1);
-        let hit = h.access(BlockAddr::new(7), false, false);
+        let hit = h.access(BlockAddr::new(7), false);
         assert!((hit.latency_ns - 3.0 / 2.8).abs() < 0.01);
     }
 
@@ -234,10 +221,10 @@ mod tests {
         };
         let mut h = CacheHierarchy::new(cfg);
         for i in 0..512u64 {
-            h.access(BlockAddr::new(i), false, false);
+            h.access(BlockAddr::new(i), false);
         }
         // The tiny L3 cannot hold 512 lines: early blocks must miss again.
-        let r = h.access(BlockAddr::new(0), false, false);
+        let r = h.access(BlockAddr::new(0), false);
         assert_eq!(r.level, HitLevel::Memory);
     }
 
@@ -254,27 +241,18 @@ mod tests {
         // Write enough dirty blocks to force dirty evictions from L3.
         let mut saw_writeback = false;
         for i in 0..64u64 {
-            let r = h.access(BlockAddr::new(i * 131), true, false);
+            let r = h.access(BlockAddr::new(i * 131), true);
             saw_writeback |= r.writeback.is_some();
         }
         assert!(saw_writeback, "dirty evictions must surface");
     }
 
     #[test]
-    fn compressed_bit_round_trip() {
-        let mut h = h();
-        h.access(BlockAddr::new(99), false, true);
-        assert_eq!(h.l2_compressed_bit(BlockAddr::new(99)), Some(true));
-        h.set_l2_compressed_bit(BlockAddr::new(99), false);
-        assert_eq!(h.l2_compressed_bit(BlockAddr::new(99)), Some(false));
-    }
-
-    #[test]
     fn invalidate_clears_all_levels() {
         let mut h = h();
-        h.access(BlockAddr::new(5), false, false);
-        h.access(BlockAddr::new(5), false, false);
+        h.access(BlockAddr::new(5), false);
+        h.access(BlockAddr::new(5), false);
         h.invalidate(BlockAddr::new(5));
-        assert_eq!(h.access(BlockAddr::new(5), false, false).level, HitLevel::Memory);
+        assert_eq!(h.access(BlockAddr::new(5), false).level, HitLevel::Memory);
     }
 }

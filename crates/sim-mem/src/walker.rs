@@ -2,7 +2,7 @@
 //!
 //! On a TLB miss the walker traverses the page table. A small page-walk
 //! cache (PWC — 1 KiB per core in the paper's Table III, "similar to
-//! [23]") holds upper-level translations so most walks skip straight to
+//! \[23\]") holds upper-level translations so most walks skip straight to
 //! the lower levels; the PTB fetches that remain are issued to the cache
 //! hierarchy by the caller, which is where TMCC's embedded CTEs pay off
 //! (Fig. 12a).

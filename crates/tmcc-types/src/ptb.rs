@@ -267,17 +267,6 @@ impl CompressedPtb {
         true
     }
 
-    /// Clears the embedded CTE for `slot` (e.g., after OS rewrites the PTE).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 8`.
-    pub fn clear_cte(&mut self, slot: usize) {
-        assert!(slot < PTES_PER_PTB, "slot out of range");
-        self.embedded[slot] = None;
-        self.refresh_parity(slot);
-    }
-
     /// Fault-injection hook: flips one bit of embedded slot `slot` *without*
     /// updating parity — what a DRAM upset inside the compressed PTB does.
     /// `bit` is taken modulo `TruncatedCte::BITS + 1`; the extra position is

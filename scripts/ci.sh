@@ -23,6 +23,9 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> codec benches execute (TMCC_BENCH_SMOKE=1)"
 # Smoke mode shrinks criterion's warm-up/samples so this only asserts the
 # bench binary runs end to end; timings printed here are noise.
