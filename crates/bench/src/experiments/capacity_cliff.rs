@@ -2,9 +2,10 @@
 //!
 //! The storage stack materializes page contents lazily from the
 //! workload's content seed (`tmcc_workloads::PageStore`) and keeps hot
-//! metadata in succinct structures, so the host cost of a simulated
-//! footprint is metadata only — tens of MiB per simulated GiB instead of
-//! the 1:1 ratio eager 4 KiB buffers would force. This family sweeps the
+//! metadata in succinct structures over a closed-form initial state, so
+//! the host cost of a simulated footprint is metadata only — about a MiB
+//! per simulated GiB instead of the 1:1 ratio eager 4 KiB buffers would
+//! force. This family sweeps the
 //! footprint across orders of magnitude under a fixed compression
 //! pressure (DRAM budget = 9/16 of the footprint) and reports both sides
 //! of the ledger:
@@ -27,7 +28,7 @@ const PAGE: u64 = 4096;
 
 /// Simulated footprints in pages, per scale. Quick tops out at 100 GiB —
 /// the CI `footprint-smoke` acceptance point, which must fit under a
-/// 4 GiB host ceiling — and Full at 1 TiB.
+/// 512 MiB address-space ceiling — and Full at 1 TiB.
 pub fn grid_pages(scale: Scale) -> Vec<u64> {
     match scale {
         Scale::Full => vec![16 * GIB / PAGE, 64 * GIB / PAGE, 256 * GIB / PAGE, 1024 * GIB / PAGE],

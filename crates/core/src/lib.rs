@@ -39,6 +39,8 @@ pub mod free_list;
 pub mod handle;
 pub mod latency;
 pub mod page_meta;
+mod paged;
+mod placement;
 pub mod recency;
 pub mod schemes;
 pub mod size_model;

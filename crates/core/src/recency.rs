@@ -7,23 +7,32 @@
 //! the list (so ML1 stops trying to evict them) and re-enter with 1 %
 //! probability after a writeback (§IV-B).
 //!
-//! The list is intrusive over a dense slab: page numbers index a `Vec` of
-//! link slots directly, exactly as the hardware table indexes DRAM by page
-//! frame, so every touch/unlink is two array loads — the per-access hash
-//! lookups of the earlier `HashMap` representation are gone. Membership
-//! lives in a succinct [`BitVec`] beside the link slab, which keeps each
-//! slot at exactly two 32-bit links (8 B instead of a padded 12 B) at
-//! datacenter-scale page counts. Callers hand in physical page numbers
-//! from the simulator's dense data-page range; the slab grows to the
-//! highest page ever tracked.
+//! The list is intrusive over a dense slab: page numbers index link
+//! slots directly, exactly as the hardware table indexes DRAM by page
+//! frame, so every touch/unlink is a few array loads — no hashing.
+//! Callers hand in physical page numbers from the simulator's dense
+//! data-page range.
+//!
+//! # The initial chain and the overlay
+//!
+//! The two-level schemes start the list holding pages `0` (hottest) to
+//! `len − 1` (coldest) in index order ([`RecencyList::with_initial_chain`]).
+//! Those links are implicit: a *pristine* node `i` of the chain has
+//! neighbours `i − 1` and `i + 1`. Nodes live in a copy-on-write overlay
+//! — a directory of 64-node leaves, each allocated on first write — and a
+//! node is copied into it, with its membership, the first time an unlink
+//! or insert writes it or a neighbour's link to it. A pristine node's
+//! implicit links stay true: they change only when a neighbour is
+//! unlinked or inserted next to it, and both write the node. So a list
+//! over millions of ML1 pages costs only the nodes that moved.
 //!
 //! The list costs real DRAM — 0.4 % of capacity (§V-A6) — accounted by
 //! [`RecencyList::dram_overhead_bytes`].
 
+use crate::paged::Paged;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tmcc_types::addr::Ppn;
-use tmcc_types::bitvec::BitVec;
 
 /// The paper's hardware sampling probability: 1 % of ML1 accesses update
 /// the list (§IV-B). Hardware runs billions of accesses, so 1 % sampling
@@ -35,16 +44,21 @@ pub const SAMPLE_PROBABILITY: f64 = 0.01;
 /// Sentinel link value ("no neighbour").
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: intrusive links. Membership is tracked separately in
-/// the `present` bitmap so the slot packs into 8 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// Nodes per overlay leaf.
+const LEAF: usize = 64;
+
+/// One overlay node: intrusive links plus membership. The default (all
+/// zero, `materialized` false) marks a node the overlay does not hold.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
     prev: u32, // towards head
     next: u32, // towards tail
+    present: bool,
+    materialized: bool,
 }
 
-impl Slot {
-    const EMPTY: Slot = Slot { prev: NIL, next: NIL };
+impl Node {
+    const ABSENT: Node = Node { prev: NIL, next: NIL, present: false, materialized: false };
 }
 
 /// The recency list.
@@ -62,10 +76,10 @@ impl Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecencyList {
-    /// Link slots indexed directly by page number (dense data-page range).
-    slots: Vec<Slot>,
-    /// Membership bitmap, indexed like `slots`.
-    present: BitVec,
+    /// Nodes written since construction, indexed by page number.
+    nodes: Paged<Node, LEAF>,
+    /// Length of the implicit initial chain `0..chain`.
+    chain: u32,
     head: u32, // hottest (NIL when empty)
     tail: u32, // coldest (NIL when empty)
     len: usize,
@@ -89,14 +103,34 @@ impl RecencyList {
     pub fn with_probability(seed: u64, sample_prob: f64) -> Self {
         assert!(sample_prob > 0.0 && sample_prob <= 1.0, "sampling probability must be in (0, 1]");
         Self {
-            slots: Vec::new(),
-            present: BitVec::new(),
+            nodes: Paged::new(),
+            chain: 0,
             head: NIL,
             tail: NIL,
             len: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0xDECAF),
             sample_prob,
         }
+    }
+
+    /// Fills an empty list with pages `0` (hottest) to `pages − 1`
+    /// (coldest) — the list `insert_hot` of pages `pages − 1` down to `0`
+    /// leaves — in O(1): the chain's links are implicit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list is not empty or `pages` reaches the link
+    /// sentinel.
+    pub fn with_initial_chain(mut self, pages: u32) -> Self {
+        assert!(self.len == 0 && self.chain == 0, "the initial chain needs an empty list");
+        assert!(pages < NIL, "chain of {pages} pages overflows the link range");
+        if pages > 0 {
+            self.chain = pages;
+            self.head = 0;
+            self.tail = pages - 1;
+            self.len = pages as usize;
+        }
+        self
     }
 
     /// Slab index of `page`.
@@ -106,10 +140,36 @@ impl RecencyList {
     /// Panics if the page number cannot index the slab (the simulator's
     /// trackable pages are dense small indices by construction).
     #[inline]
-    fn key(page: Ppn) -> usize {
+    fn key(page: Ppn) -> u32 {
         let raw = page.raw();
         assert!(raw < NIL as u64, "page {raw:#x} out of the recency slab's dense index range");
-        raw as usize
+        raw as u32
+    }
+
+    /// Node `key` as the list sees it: the overlay's copy, the implicit
+    /// chain's, or absent.
+    #[inline]
+    fn node(&self, key: u32) -> Node {
+        match self.nodes.get(key as usize) {
+            Some(n) if n.materialized => *n,
+            _ if key < self.chain => Node {
+                prev: key.checked_sub(1).unwrap_or(NIL),
+                next: if key + 1 == self.chain { NIL } else { key + 1 },
+                present: true,
+                materialized: false,
+            },
+            _ => Node::ABSENT,
+        }
+    }
+
+    /// Node `key` in the overlay, copied there first if it is not.
+    fn node_mut(&mut self, key: u32) -> &mut Node {
+        let current = self.node(key);
+        let node = self.nodes.entry(key as usize);
+        if !node.materialized {
+            *node = Node { materialized: true, ..current };
+        }
+        node
     }
 
     /// Number of tracked pages.
@@ -124,30 +184,24 @@ impl RecencyList {
 
     /// Whether `page` is tracked.
     pub fn contains(&self, page: Ppn) -> bool {
-        let key = Self::key(page);
-        key < self.present.len() && self.present.get(key)
+        self.node(Self::key(page)).present
     }
 
     /// Unconditionally inserts/moves `page` to the hot end.
     pub fn insert_hot(&mut self, page: Ppn) {
         let key = Self::key(page);
-        if key >= self.slots.len() {
-            self.slots.resize(key + 1, Slot::EMPTY);
-        }
-        self.present.grow(key + 1);
-        if self.present.get(key) {
-            self.unlink(key as u32);
+        if self.node(key).present {
+            self.unlink(key);
             self.len -= 1;
         }
         let old_head = self.head;
-        self.slots[key] = Slot { prev: NIL, next: old_head };
-        self.present.set(key);
+        *self.node_mut(key) = Node { prev: NIL, next: old_head, present: true, materialized: true };
         if old_head != NIL {
-            self.slots[old_head as usize].prev = key as u32;
+            self.node_mut(old_head).prev = key;
         }
-        self.head = key as u32;
+        self.head = key;
         if self.tail == NIL {
-            self.tail = key as u32;
+            self.tail = key;
         }
         self.len += 1;
     }
@@ -193,7 +247,7 @@ impl RecencyList {
             return None;
         }
         self.unlink(t);
-        self.present.clear(t as usize);
+        self.node_mut(t).present = false;
         self.len -= 1;
         Some(Ppn::new(t as u64))
     }
@@ -201,9 +255,9 @@ impl RecencyList {
     /// Removes `page` (e.g., when found incompressible, or migrated away).
     pub fn remove(&mut self, page: Ppn) -> bool {
         let key = Self::key(page);
-        if key < self.present.len() && self.present.get(key) {
-            self.unlink(key as u32);
-            self.present.clear(key);
+        if self.node(key).present {
+            self.unlink(key);
+            self.node_mut(key).present = false;
             self.len -= 1;
             true
         } else {
@@ -212,15 +266,15 @@ impl RecencyList {
     }
 
     fn unlink(&mut self, key: u32) {
-        let node = self.slots[key as usize];
-        debug_assert!(self.present.get(key as usize), "unlinking an untracked slot");
+        let node = self.node(key);
+        debug_assert!(node.present, "unlinking an untracked slot");
         match node.prev {
             NIL => self.head = node.next,
-            p => self.slots[p as usize].next = node.next,
+            p => self.node_mut(p).next = node.next,
         }
         match node.next {
             NIL => self.tail = node.prev,
-            n => self.slots[n as usize].prev = node.prev,
+            n => self.node_mut(n).prev = node.prev,
         }
     }
 
@@ -230,7 +284,7 @@ impl RecencyList {
         let mut cur = self.tail;
         while cur != NIL {
             out.push(Ppn::new(cur as u64));
-            cur = self.slots[cur as usize].prev;
+            cur = self.node(cur).prev;
         }
         out
     }
@@ -242,9 +296,9 @@ impl RecencyList {
         total_pages * 16
     }
 
-    /// Host heap bytes the list occupies (link slab + membership bitmap).
+    /// Host heap bytes the list occupies (the node overlay).
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>() + self.present.heap_bytes()
+        self.nodes.heap_bytes()
     }
 }
 

@@ -140,11 +140,30 @@ impl SizeModel {
     /// Sizes of page `index` at write-epoch `dirty_epoch` (bump the epoch
     /// after heavy writes to re-draw the page's compressibility).
     pub fn sizes_of(&self, index: u64, dirty_epoch: u32) -> PageSizes {
+        self.samples[self.sample_index(index, dirty_epoch)]
+    }
+
+    /// Which sample page `index` at write-epoch `dirty_epoch` draws — the
+    /// one home of the draw [`sizes_of`](Self::sizes_of) makes, so callers
+    /// can tabulate per-sample facts once and index them per page. At
+    /// epoch 0 the draw is `index · K mod 2⁶⁴ mod samples`; with a
+    /// power-of-two sample count that is periodic in `index` with period
+    /// `samples`, each sample drawn once per period.
+    #[inline]
+    pub(crate) fn sample_index(&self, index: u64, dirty_epoch: u32) -> usize {
         let h = index
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(dirty_epoch % 63)
             .wrapping_add(dirty_epoch as u64);
-        self.samples[(h % self.samples.len() as u64) as usize]
+        let n = self.samples.len() as u64;
+        // `h & (n - 1)` equals `h % n` for powers of two, without the
+        // division.
+        (if n.is_power_of_two() { h & (n - 1) } else { h % n }) as usize
+    }
+
+    /// The sampled sizes, in sample-index order.
+    pub(crate) fn samples(&self) -> &[PageSizes] {
+        &self.samples
     }
 
     /// Mean Deflate ratio across the sampled pages.

@@ -426,10 +426,16 @@ impl MultiTenantSystem {
         if let Some(m) = self.slots[slot].min_frames {
             return m;
         }
-        let spec = &self.slots[slot].spec;
-        let min = match spec.scheme {
+        let min = Self::feasibility_min(&self.cfg, &self.slots[slot].spec);
+        self.slots[slot].min_frames = Some(min);
+        min
+    }
+
+    /// The smallest grant under which `spec`'s system can be built.
+    fn feasibility_min(cfg: &MultiTenantConfig, spec: &TenantSpec) -> u32 {
+        match spec.scheme {
             SchemeKind::OsInspired | SchemeKind::Tmcc => {
-                let cfg = self.cfg.tenant_config(spec, 0);
+                let cfg = cfg.tenant_config(spec, 0);
                 (System::min_budget_bytes(&cfg).div_ceil(4096) + 1).min(u32::MAX as u64) as u32
             }
             // Budget-blind schemes occupy their full footprint no matter
@@ -437,9 +443,7 @@ impl MultiTenantSystem {
             SchemeKind::NoCompression | SchemeKind::Compresso => {
                 TenantSpec::resident_frames(&spec.workload)
             }
-        };
-        self.slots[slot].min_frames = Some(min);
-        min
+        }
     }
 
     /// Admission demand for a slot about to (re)join: baseline spike, not
@@ -463,15 +467,26 @@ impl MultiTenantSystem {
         }
     }
 
-    /// Admits the initial roster prefix as one batch. Admission checks
-    /// and demand-ledger updates run serially in slot order (each
-    /// candidate sees its predecessors' guarantees), then a single
+    /// Admits the initial roster prefix as one batch. The candidates'
+    /// feasibility minima are computed in parallel up front; admission
+    /// checks and demand-ledger updates then run serially in slot order
+    /// (each candidate sees its predecessors' guarantees), then a single
     /// rebalance fixes every newcomer's grant, and the — mutually
     /// independent — tenant builds and warmups fan out onto the ambient
     /// work-stealing pool. Commit replays in slot order, so the roster is
     /// byte-identical to the serial fallback at any worker count.
     fn admit_initial_roster(&mut self) -> Result<(), TmccError> {
         let initial = self.cfg.initial_tenants.min(self.slots.len());
+        // Each minimum samples its own tenant's size model, independently
+        // of the others, so they are computed on the ambient pool first;
+        // the serial admission loop below then reads them from the cache.
+        let cfg = &self.cfg;
+        let specs: Vec<&TenantSpec> = self.slots[..initial].iter().map(|s| &s.spec).collect();
+        let mins: Vec<u32> =
+            specs.into_par_iter().map(|spec| Self::feasibility_min(cfg, spec)).collect();
+        for (slot, min) in self.slots.iter_mut().zip(mins) {
+            slot.min_frames.get_or_insert(min);
+        }
         let mut admitted: Vec<usize> = Vec::with_capacity(initial);
         for slot in 0..initial {
             let candidate = self.admission_demand(slot);

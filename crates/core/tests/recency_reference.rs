@@ -66,34 +66,55 @@ proptest! {
         // Probability 1 makes `on_access` deterministic (always a touch) so
         // the spec needs no coupled RNG; the sampled path reduces to
         // `insert_hot`, which this trace exercises directly.
-        let mut slab = RecencyList::with_probability(7, 1.0);
+        check_trace(RecencyList::with_probability(7, 1.0), SpecList::default(), ops);
+    }
+
+    /// A list started from the implicit initial chain `0..chain` behaves
+    /// exactly like one built by inserting `chain − 1` down to `0`.
+    #[test]
+    fn initial_chain_matches_reference(
+        chain in 0u32..48,
+        ops in prop::collection::vec(op_strategy(), 0..400),
+    ) {
+        let slab = RecencyList::with_probability(7, 1.0).with_initial_chain(chain);
         let mut spec = SpecList::default();
-        for op in ops {
-            match op {
-                Op::InsertHot(p) => {
-                    slab.insert_hot(Ppn::new(p));
-                    spec.insert_hot(p);
-                }
-                Op::OnAccess(p) => {
-                    prop_assert!(slab.on_access(Ppn::new(p)), "probability-1 access must fire");
-                    spec.insert_hot(p);
-                }
-                Op::PopColdest => {
-                    prop_assert_eq!(slab.pop_coldest().map(|p| p.raw()), spec.pop_coldest());
-                }
-                Op::Remove(p) => {
-                    prop_assert_eq!(slab.remove(Ppn::new(p)), spec.remove(p));
-                }
+        for p in (0..chain as u64).rev() {
+            spec.insert_hot(p);
+        }
+        check_trace(slab, spec, ops);
+    }
+}
+
+/// Runs `ops` on both lists, checking every observable after each op and
+/// the full eviction order at the end.
+fn check_trace(mut slab: RecencyList, mut spec: SpecList, ops: Vec<Op>) {
+    let initial: Vec<u64> = slab.cold_to_hot().iter().map(|p| p.raw()).collect();
+    prop_assert_eq!(&initial, &spec.cold_to_hot, "initial order diverged");
+    for op in ops {
+        match op {
+            Op::InsertHot(p) => {
+                slab.insert_hot(Ppn::new(p));
+                spec.insert_hot(p);
             }
-            prop_assert_eq!(slab.len(), spec.cold_to_hot.len());
-            prop_assert_eq!(slab.coldest().map(|p| p.raw()), spec.cold_to_hot.first().copied());
-            for &p in &spec.cold_to_hot {
-                prop_assert!(slab.contains(Ppn::new(p)));
+            Op::OnAccess(p) => {
+                prop_assert!(slab.on_access(Ppn::new(p)), "probability-1 access must fire");
+                spec.insert_hot(p);
+            }
+            Op::PopColdest => {
+                prop_assert_eq!(slab.pop_coldest().map(|p| p.raw()), spec.pop_coldest());
+            }
+            Op::Remove(p) => {
+                prop_assert_eq!(slab.remove(Ppn::new(p)), spec.remove(p));
             }
         }
-        let slab_order: Vec<u64> = slab.cold_to_hot().iter().map(|p| p.raw()).collect();
-        prop_assert_eq!(&slab_order, &spec.cold_to_hot, "cold-to-hot walk diverged");
-        let drained: Vec<u64> = std::iter::from_fn(|| slab.pop_coldest().map(|p| p.raw())).collect();
-        prop_assert_eq!(drained, spec.cold_to_hot, "eviction order diverged");
+        prop_assert_eq!(slab.len(), spec.cold_to_hot.len());
+        prop_assert_eq!(slab.coldest().map(|p| p.raw()), spec.cold_to_hot.first().copied());
+        for &p in &spec.cold_to_hot {
+            prop_assert!(slab.contains(Ppn::new(p)));
+        }
     }
+    let slab_order: Vec<u64> = slab.cold_to_hot().iter().map(|p| p.raw()).collect();
+    prop_assert_eq!(&slab_order, &spec.cold_to_hot, "cold-to-hot walk diverged");
+    let drained: Vec<u64> = std::iter::from_fn(|| slab.pop_coldest().map(|p| p.raw())).collect();
+    prop_assert_eq!(drained, spec.cold_to_hot, "eviction order diverged");
 }
