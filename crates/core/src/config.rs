@@ -342,7 +342,9 @@ pub struct SystemConfig {
     /// Pages compressed with the real codecs to build the empirical
     /// [`crate::SizeModel`] at construction. The paper-scale default is
     /// 128; tiny harness scales shrink it because the codec sampling
-    /// otherwise dominates short runs.
+    /// otherwise dominates short runs. Must be a power of two:
+    /// [`crate::System::try_new`] rejects any other count with
+    /// [`crate::TmccError::SampleCountNotPowerOfTwo`].
     pub size_samples: usize,
 }
 

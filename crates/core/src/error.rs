@@ -36,6 +36,13 @@ pub enum TmccError {
         /// First PPN of the page-table region.
         table_region_base: u64,
     },
+    /// The configuration asks for a size-model sample count that is not a
+    /// power of two. Placement relies on the per-page size draw repeating
+    /// every `samples` pages, which only a power of two guarantees.
+    SampleCountNotPowerOfTwo {
+        /// The configured `size_samples`.
+        samples: usize,
+    },
     /// An allocation could not be satisfied because the free lists ran
     /// dry (ML1 had no chunks left to donate to ML2).
     FreeListExhausted {
@@ -119,6 +126,9 @@ impl fmt::Display for TmccError {
                 "data pages 0..{data_pages:#x} overlap the page-table region at PPN \
                  {table_region_base:#x}"
             ),
+            TmccError::SampleCountNotPowerOfTwo { samples } => {
+                write!(f, "size_samples must be a power of two, got {samples}")
+            }
             TmccError::FreeListExhausted { requested_bytes, ml1_free_chunks } => write!(
                 f,
                 "free lists exhausted: cannot allocate {requested_bytes} bytes \

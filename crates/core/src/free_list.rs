@@ -39,7 +39,8 @@
 //!   construction-time carve. A scheme's initial state carves every
 //!   super-chunk from the fresh run, in order, so each one's chunks are
 //!   contiguous and all but each class's last one are full; the carve
-//!   log (super id → first chunk and class) describes them with no
+//!   repeats every window of the placement walk, so one window's table
+//!   gives any id's first chunk and class (`placement::Carves`) with no
 //!   per-super-chunk table. A *pristine* super-chunk materializes into
 //!   the overlay (a directory of 16-super-chunk leaves, each allocated on
 //!   first write) on its first free, as a full super-chunk with chunks
@@ -53,7 +54,7 @@
 
 use crate::error::TmccError;
 use crate::paged::Paged;
-use crate::placement::CarveLog;
+use crate::placement::Carves;
 use tmcc_types::bitvec::BitVec;
 
 /// A simple LIFO free list of uniform chunks, used for Compresso's 512 B
@@ -250,7 +251,7 @@ const SUPER_LEAF: usize = 16;
 /// One super-chunk id's state in the overlay.
 #[derive(Debug, Clone, Default)]
 enum SuperSlot {
-    /// Never written: pristine when the id is in the carve log.
+    /// Never written: pristine when construction carved the id.
     #[default]
     Untouched,
     Live(SuperChunk),
@@ -297,7 +298,7 @@ pub struct Ml2FreeLists {
     /// a hash lookup. An untouched id in `carved` is pristine.
     supers: Paged<SuperSlot, SUPER_LEAF>,
     /// The super-chunks construction carved (ids `0..carved.len()`).
-    carved: CarveLog,
+    carved: Carves,
     /// One past the highest id ever handed out.
     next_id: u32,
     /// Ids of dissolved super-chunks awaiting reuse, so churn does not
@@ -342,7 +343,7 @@ impl Ml2FreeLists {
             geometry,
             avail: vec![Vec::new(); len],
             supers: Paged::new(),
-            carved: CarveLog::default(),
+            carved: Carves::default(),
             next_id: 0,
             free_super_ids: Vec::new(),
             allocated_bytes: 0,
@@ -371,7 +372,7 @@ impl Ml2FreeLists {
         (best.0, best.1)
     }
 
-    /// Starts the lists from a construction-time carve: the logged
+    /// Starts the lists from a construction-time carve: the carved
     /// super-chunks own `chunks` chunks and `allocated_bytes` of
     /// sub-chunks, and each `(class, id, used)` in `partial` is a class's
     /// last super-chunk with only its first `used` slots allocated.
@@ -381,14 +382,14 @@ impl Ml2FreeLists {
     /// Panics unless the lists are fresh.
     pub(crate) fn start_from(
         &mut self,
-        carved: CarveLog,
+        carved: Carves,
         partial: &[(usize, u32, u32)],
         chunks: u64,
         allocated_bytes: u64,
     ) {
         assert!(self.next_id == 0, "lists already hold super-chunks");
         for &(class, id, used) in partial {
-            let (first, _) = carved.get(id).expect("partial super-chunk is logged");
+            let (first, _) = carved.get(id).expect("partial super-chunk was carved");
             let (m, n) = self.geometry[class];
             let mut sc = SuperChunk::carve(contiguous(first, m as u8), m as u8, n as u8);
             for _ in 0..used {
@@ -397,7 +398,7 @@ impl Ml2FreeLists {
             *self.supers.entry(id as usize) = SuperSlot::Live(sc);
             self.avail[class].push(id);
         }
-        self.next_id = carved.len() as u32;
+        self.next_id = carved.len();
         self.carved = carved;
         self.owned_chunks = chunks as usize;
         self.allocated_bytes = allocated_bytes as usize;
@@ -576,7 +577,7 @@ impl Ml2FreeLists {
     }
 
     /// Heap bytes owned by the free lists (capacity, not length): the
-    /// carve log, the super-chunk overlay, each materialized
+    /// carve window, the super-chunk overlay, each materialized
     /// super-chunk's slot table, and the per-class availability stacks.
     pub fn heap_bytes(&self) -> usize {
         let slot_tables: usize = self

@@ -41,12 +41,13 @@
 //! from the plan, each word with the materialized bit set. Reads check the
 //! overlay word and fall back to the plan, so the access path indexes
 //! arrays and never hashes, and the host cost is the plan plus the leaves
-//! of pages that diverged. A walk over every page decodes allocated leaves
-//! like a dense array and streams the plan only through the others.
+//! of pages that diverged. Every fallback — a lookup, a leaf copy, a walk
+//! over an unallocated leaf — asks `InitialPages::data_page`, which
+//! computes a pristine page's state in O(1).
 
 use crate::free_list::SubChunk;
 use crate::paged::Paged;
-use crate::placement::{InitialPages, GROUP};
+use crate::placement::InitialPages;
 
 /// Compact handle of a page's slot in a [`PageMetaStore`]: a region bit
 /// (data vs. table) plus the index within the region. Derived once per
@@ -165,9 +166,8 @@ fn decode(w: u64, dirty_epoch: u32) -> PageInfo {
     }
 }
 
-/// Pages per overlay leaf: one placement checkpoint group, so a walk can
-/// re-position its plan cursor at any leaf.
-const LEAF: usize = GROUP as usize;
+/// Pages per overlay leaf.
+const LEAF: usize = 64;
 
 /// One dense region: the pages the plan places (`0..initial`) plus a
 /// copy-on-write overlay of packed words and dirty epochs. A page reads
@@ -379,8 +379,7 @@ impl PageMetaStore {
                 pages.for_each(|(t, w)| *w = encode(&InitialPages::table_page(t as u64)));
             } else {
                 let plan = self.plan.as_ref().expect("initial data pages come from a plan");
-                let mut cursor = plan.cursor_at(lo as u64);
-                pages.for_each(|(p, w)| *w = encode(&plan.streamed(&mut cursor, p as u64)));
+                pages.for_each(|(p, w)| *w = encode(&plan.data_page(p as u64)));
             }
             let region = self.region_mut(id);
             for (p, w) in (lo..region.initial).zip(words) {
@@ -413,26 +412,16 @@ impl PageMetaStore {
 
     /// Iterates `(ppn, state)` pairs: the data region in PPN order, then
     /// the table region. Allocated overlay leaves decode like a dense
-    /// array; the plan streams the pristine pages of the others.
+    /// array; the plan computes the pristine pages of the others.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PageInfo)> + '_ {
         let plan = self.plan.as_ref();
-        let (mut cursor, mut next) = (plan.map(InitialPages::cursor), 0);
-        let data = Walk::new(&self.data, 0, move |idx| {
-            let (plan, cursor) = plan.zip(cursor.as_mut())?;
-            // A skipped allocated leaf leaves the cursor behind: `idx`
-            // then starts a leaf, where the checkpoints place it.
-            if idx != next {
-                *cursor = plan.cursor_at(idx);
-            }
-            next = idx + 1;
-            Some(plan.streamed(cursor, idx))
-        });
+        let data = Walk::new(&self.data, 0, move |idx| Some(plan?.data_page(idx)));
         let table = Walk::new(&self.table, self.table_base, |t| Some(InitialPages::table_page(t)));
         data.chain(table)
     }
 
     /// Host heap bytes owned by the store (capacity, not length): the
-    /// plan's checkpoints and super-chunk index plus the overlays — the
+    /// plan's per-sample and per-window tables plus the overlays — the
     /// footprint experiments report this per simulated GB.
     pub fn heap_bytes(&self) -> usize {
         self.data.heap_bytes()
@@ -454,14 +443,14 @@ struct Walk<'a, F> {
     planned: F,
 }
 
-impl<'a, F: FnMut(u64) -> Option<PageInfo>> Walk<'a, F> {
+impl<'a, F: Fn(u64) -> Option<PageInfo>> Walk<'a, F> {
     fn new(region: &'a Region, base: u64, planned: F) -> Self {
         let end = region.initial.max(region.words.bound());
         Self { region, base, idx: 0, end, words: None, epochs: None, planned }
     }
 }
 
-impl<F: FnMut(u64) -> Option<PageInfo>> Iterator for Walk<'_, F> {
+impl<F: Fn(u64) -> Option<PageInfo>> Iterator for Walk<'_, F> {
     type Item = (u64, PageInfo);
 
     #[inline]
@@ -602,8 +591,8 @@ mod tests {
         use crate::size_model::{PageSizes, SizeModel};
 
         let ml2 = Ml2FreeLists::paper_classes();
-        let sizes =
-            [300, 1300, 2600, 900, 4000].map(|d| PageSizes { deflate_bytes: d, block_bytes: 4096 });
+        let sizes = [300, 1300, 2600, 900, 4000, 1800, 250, 3100]
+            .map(|d| PageSizes { deflate_bytes: d, block_bytes: 4096 });
         let samples = SampleTable::new(&SizeModel::from_samples(sizes.to_vec()), &ml2);
         let plan = PlacementPlan::search(samples, &ml2, 5, 100, 90, 4).expect("fits");
         assert!(plan.split > 0 && plan.split < 100, "split {}", plan.split);

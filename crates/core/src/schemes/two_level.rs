@@ -197,13 +197,14 @@ impl TwoLevelScheme {
     /// `k..` fit compressed in ML2 beside the eviction reserve, pages
     /// `k..` carved into super-chunks coldest-first and pages `..k` in
     /// ML1, hottest at the recency list's hot end. It is built in closed
-    /// form (see the `placement` module): one coldest-first pass over the
-    /// ML2 pages records the split, the carve log and per-class page
-    /// counts, and the page store, the ML2 free lists and the recency
-    /// list read every untouched page's state from it, copying a page
-    /// (in the page store, its 64-page leaf) into their overlays only
-    /// when it first changes. Construction costs time in the ML2 pages
-    /// and memory in the super-chunks, never per ML1 page.
+    /// form (see the `placement` module): the split comes from
+    /// per-period byte sums, and the ML2 pages' super-chunks and slots
+    /// repeat every window of the coldest-first walk, so construction
+    /// walks one window (`samples × 16` pages with the paper's classes)
+    /// and no page or super-chunk beyond it. The page store, the ML2
+    /// free lists and the recency list read every untouched page's state
+    /// from the plan, copying a page (in the page store, its 64-page
+    /// leaf) into their overlays only when it first changes.
     ///
     /// PTB embeddings are not warmed here either: each block's embedding
     /// is materialized from the construction-time CTEs on its first fetch
@@ -265,7 +266,7 @@ impl TwoLevelScheme {
             });
         }
         s.ml1_free.advance_fresh((table_pages + plan.ml2_chunks + split) as u32);
-        s.ml2.start_from(plan.carve, &plan.partial, plan.ml2_chunks, plan.ml2_bytes);
+        s.ml2.start_from(plan.carves, &plan.partial, plan.ml2_chunks, plan.ml2_bytes);
         s.recency = s.recency.with_initial_chain(split as u32);
         s.pages = PageMetaStore::planned(page_table.table_region_base(), plan.pages);
         Ok(s)
@@ -1375,6 +1376,7 @@ mod tests {
     use super::*;
     use crate::free_list::SubChunk;
     use crate::size_model::PageSizes;
+    use proptest::prelude::*;
     use tmcc_sim_dram::InterleavePolicy;
     use tmcc_sim_mem::PageTableConfig;
     use tmcc_types::addr::Vpn;
@@ -1443,7 +1445,7 @@ mod tests {
         std::iter::from_fn(move || free.pop()).collect()
     }
 
-    /// Every observable of the placement agrees: page states (streamed
+    /// Every observable of the placement agrees: page states (walked
     /// and looked up), CTEs, sub-chunk addresses, recency order, the ML1
     /// pop sequence, the ML2 books and `validate()`.
     fn assert_same_state(lazy: &TwoLevelScheme, eager: &TwoLevelScheme, ctx: &str) {
@@ -1495,32 +1497,79 @@ mod tests {
             .collect()
     }
 
+    /// Pages in one placement window for `samples` samples: the samples
+    /// times the lcm of the paper classes' slot counts (16).
+    fn window(samples: usize) -> u64 {
+        16 * samples as u64
+    }
+
+    /// Budgets whose splits land in every window of the footprint: fine
+    /// steps up to the conservative minimum `min`, where the split nears
+    /// page 0 (the last window, counted from the coldest page), then
+    /// coarse ones up to `max`, where only the first window is in ML2.
+    fn window_budgets(min: u32, max: u32) -> impl Iterator<Item = u32> {
+        let span = max.saturating_sub(min);
+        (min - min / 8..min).step_by(4).chain((0..=12).map(move |t| min + span * t / 12))
+    }
+
+    /// The window of `pages` a scheme's split fell in, counted from the
+    /// coldest page (pages `split..` start in ML2, `..split` on the
+    /// recency list); `None` when no page starts in ML2.
+    fn split_window(s: &TwoLevelScheme, pages: u64, h: u64) -> Option<u64> {
+        let ml2 = pages - s.recency.len() as u64;
+        (ml2 > 0).then(|| (ml2 - 1) / h)
+    }
+
     #[test]
     fn closed_form_placement_matches_the_reference_model() {
         // The Test grid caps footprints at 2,048 pages with 16 samples;
-        // the Quick grid keeps paper-scale footprints with 128.
+        // the Quick grid keeps paper-scale footprints with 128. Footprints
+        // around one and three windows probe the window boundaries.
         for (cap, samples) in [(2_048u64, 16usize), (u64::MAX, 128)] {
+            let h = window(samples);
             for name in ["canneal", "pageRank", "kv_hostile"] {
                 let w = WorkloadProfile::by_name(name).unwrap();
-                let pages = w.sim_pages.min(cap);
                 let model = SizeModel::sample(&w.page_content(3), samples);
-                for huge in [false, true] {
-                    let pt = PageTable::identity(PageTableConfig::above_data(pages, huge), pages);
-                    let tables = pt.table_page_count() as u64;
-                    let min = TwoLevelScheme::min_budget_frames(&model, tables, pages);
-                    let loose = (pages + tables) as u32 + 512;
-                    for budget in [min, (min + loose) / 2, loose] {
-                        let ctx = format!("{name} pages={pages} huge={huge} budget={budget}");
-                        let [lazy, eager] = both(&model, &pt, pages, budget);
-                        let (mut lazy, mut eager) = (lazy.unwrap(), eager.unwrap());
-                        assert_same_state(&lazy, &eager, &ctx);
-                        let carved = churn_ml2(&mut lazy);
-                        assert_eq!(carved, churn_ml2(&mut eager), "{ctx}: carves after churn");
-                        for sub in carved {
-                            assert_eq!(lazy.ml2.try_addr_of(sub), eager.ml2.try_addr_of(sub));
+                for pages in [w.sim_pages.min(cap), h - 1, h, h + 1, 3 * h + 17] {
+                    for huge in [false, true] {
+                        let pt =
+                            PageTable::identity(PageTableConfig::above_data(pages, huge), pages);
+                        let tables = pt.table_page_count() as u64;
+                        let min = TwoLevelScheme::min_budget_frames(&model, tables, pages);
+                        let loose = (pages + tables) as u32 + 512;
+                        // The minimum is conservative: the window
+                        // budgets start below it, where the split can
+                        // reach the hottest window or nothing fits.
+                        let budgets: Vec<u32> = if pages == w.sim_pages.min(cap) {
+                            vec![min, (min + loose) / 2, loose]
+                        } else {
+                            window_budgets(min, loose - 512 + 48).chain([loose]).collect()
+                        };
+                        let mut windows = std::collections::BTreeSet::new();
+                        for budget in budgets {
+                            let ctx = format!("{name} pages={pages} huge={huge} budget={budget}");
+                            let (mut lazy, mut eager) = match both(&model, &pt, pages, budget) {
+                                [Ok(lazy), Ok(eager)] => (lazy, eager),
+                                [lazy, eager] => {
+                                    let err = eager.map(|_| ()).unwrap_err();
+                                    assert_eq!(lazy.map(|_| ()), Err(err), "{ctx}");
+                                    assert!(budget < min, "{ctx}: the minimum is feasible");
+                                    continue;
+                                }
+                            };
+                            assert_same_state(&lazy, &eager, &ctx);
+                            windows.extend(split_window(&lazy, pages, h));
+                            let carved = churn_ml2(&mut lazy);
+                            assert_eq!(carved, churn_ml2(&mut eager), "{ctx}: carves after churn");
+                            for sub in carved {
+                                assert_eq!(lazy.ml2.try_addr_of(sub), eager.ml2.try_addr_of(sub));
+                            }
+                            assert_eq!(pops(&lazy), pops(&eager), "{ctx}: ML1 pops after churn");
+                            assert_eq!(lazy.ml2.avail(), eager.ml2.avail(), "{ctx}");
                         }
-                        assert_eq!(pops(&lazy), pops(&eager), "{ctx}: ML1 pops after churn");
-                        assert_eq!(lazy.ml2.avail(), eager.ml2.avail(), "{ctx}");
+                        if pages == 3 * h + 17 {
+                            assert_eq!(windows.len(), 4, "{name} huge={huge}: {windows:?}");
+                        }
                     }
                 }
             }
@@ -1529,7 +1578,7 @@ mod tests {
 
     /// Accesses, writebacks and maintenance that copy some overlay leaves
     /// from the plan and leave the rest pristine keep both models in the
-    /// same state, so the walk over the mix streams the same pages.
+    /// same state, so the walk over the mix yields the same pages.
     #[test]
     fn materialized_leaves_match_the_reference_model() {
         let w = WorkloadProfile::by_name("canneal").unwrap();
@@ -1568,17 +1617,57 @@ mod tests {
         assert!(stats[0].ml1_to_ml2_migrations > 20, "{:?}", stats[0]);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any power-of-two sample set — 1 to 128 samples of any size,
+        /// incompressible ones included — places like the reference
+        /// model at any budget, or fails the same way.
+        #[test]
+        fn random_sample_sets_place_like_the_reference_model(
+            sizes in (0u32..=7).prop_flat_map(|log| {
+                prop::collection::vec(1usize..4_600, 1 << log..(1 << log) + 1)
+            }),
+            pages in 0u64..7_000,
+            huge in any::<bool>(),
+            permille in 0u32..=1_000,
+        ) {
+            let model = SizeModel::from_samples(
+                sizes.iter().map(|&d| PageSizes { deflate_bytes: d, block_bytes: 4096 }).collect(),
+            );
+            let pt = PageTable::identity(PageTableConfig::above_data(pages, huge), pages);
+            let tables = pt.table_page_count() as u64;
+            let min = TwoLevelScheme::min_budget_frames(&model, tables, pages);
+            let (lo, hi) = (min - min / 8, (pages + tables) as u32 + 48);
+            let budget = lo + (hi.max(lo) - lo) * permille / 1_000;
+            let ctx = format!("{} samples pages={pages} huge={huge} budget={budget}", sizes.len());
+            match both(&model, &pt, pages, budget) {
+                [Ok(lazy), Ok(eager)] => assert_same_state(&lazy, &eager, &ctx),
+                [lazy, eager] => {
+                    let err = eager.map(|_| ()).unwrap_err();
+                    prop_assert_eq!(lazy.map(|_| ()), Err(err), "{}", ctx);
+                }
+            }
+        }
+    }
+
     #[test]
     fn infeasible_budgets_fail_identically() {
-        let sizes: [&[usize]; 4] =
-            [&[1200], &[300, 1300, 2600, 900], &[300, 1300, 2600], &[4500, 250, 700, 3100, 1500]];
+        let sizes: [&[usize]; 4] = [
+            &[1200],
+            &[300, 1300, 2600, 900],
+            &[300, 1300],
+            &[4500, 250, 700, 3100, 1500, 3900, 600, 2000],
+        ];
         let mut stages = std::collections::BTreeSet::new();
         for sizes in sizes {
             let model = SizeModel::from_samples(
                 sizes.iter().map(|&d| PageSizes { deflate_bytes: d, block_bytes: 4096 }).collect(),
             );
+            let h = window(sizes.len());
             for huge in [false, true] {
-                for pages in [0u64, 1, 7, 64, 100, 513, 3_000, 20_000] {
+                for pages in [0u64, 1, 7, 64, 100, 513, 3_000, 20_000, h - 1, h, h + 1, 3 * h + 17]
+                {
                     let pt = PageTable::identity(PageTableConfig::above_data(pages, huge), pages);
                     let tables = pt.table_page_count() as u64;
                     let min = TwoLevelScheme::min_budget_frames(&model, tables, pages);
@@ -1588,7 +1677,11 @@ mod tests {
                         "{sizes:?} pages={pages} huge={huge}"
                     );
                     let low = if pages <= 100 { 0 } else { min.saturating_sub(16) };
-                    for budget in low..=min + 16 {
+                    let mut budgets: Vec<u32> = (low..=min + 16).collect();
+                    if [h - 1, h, h + 1, 3 * h + 17].contains(&pages) {
+                        budgets.extend(window_budgets(min, (pages + tables) as u32 + 48));
+                    }
+                    for budget in budgets {
                         let [lazy, eager] = both(&model, &pt, pages, budget);
                         let ctx = format!("{sizes:?} pages={pages} huge={huge} budget={budget}");
                         match (lazy, eager) {

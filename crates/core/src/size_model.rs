@@ -14,6 +14,7 @@
 //! lets callers re-draw a page's size after heavy write activity, which is
 //! how Compresso-style page-overflow events arise.
 
+use crate::error::TmccError;
 use std::sync::{Mutex, OnceLock};
 use tmcc_compression::{BestOfCodec, BlockCodec};
 use tmcc_deflate::MemDeflate;
@@ -85,7 +86,7 @@ impl SizeModel {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is zero.
+    /// Panics if `samples` is not a power of two (zero included).
     pub fn sample(content: &PageContent, samples: usize) -> Self {
         Self::sample_via(&mut PageStore::new(content.clone()), samples)
     }
@@ -97,9 +98,10 @@ impl SizeModel {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is zero.
+    /// Panics if `samples` is not a power of two (zero included).
     pub fn sample_via(store: &mut PageStore, samples: usize) -> Self {
         assert!(samples > 0, "need at least one sample");
+        assert!(samples.is_power_of_two(), "sample count {samples} is not a power of two");
         // Spread sample indices to hit every template in the mix.
         let pages: Vec<Vec<u8>> =
             (0..samples as u64).map(|i| store.read(i.wrapping_mul(0x9E37) + i).to_vec()).collect();
@@ -131,10 +133,22 @@ impl SizeModel {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty.
+    /// Panics if `samples` is empty or its length is not a power of two.
     pub fn from_samples(samples: Vec<PageSizes>) -> Self {
         assert!(!samples.is_empty(), "need at least one sample");
+        let n = samples.len();
+        assert!(n.is_power_of_two(), "sample count {n} is not a power of two");
         Self { samples }
+    }
+
+    /// Rejects a sample count the model cannot use: every count must be a
+    /// power of two (see [`sample_index`](Self::sample_index)).
+    pub(crate) fn check_sample_count(samples: usize) -> Result<(), TmccError> {
+        if samples.is_power_of_two() {
+            Ok(())
+        } else {
+            Err(TmccError::SampleCountNotPowerOfTwo { samples })
+        }
     }
 
     /// Sizes of page `index` at write-epoch `dirty_epoch` (bump the epoch
@@ -146,19 +160,16 @@ impl SizeModel {
     /// Which sample page `index` at write-epoch `dirty_epoch` draws — the
     /// one home of the draw [`sizes_of`](Self::sizes_of) makes, so callers
     /// can tabulate per-sample facts once and index them per page. At
-    /// epoch 0 the draw is `index · K mod 2⁶⁴ mod samples`; with a
-    /// power-of-two sample count that is periodic in `index` with period
-    /// `samples`, each sample drawn once per period.
+    /// epoch 0 the draw is `index · K mod samples` for an odd `K`: the
+    /// sample count is a power of two, so the draw is periodic in `index`
+    /// with period `samples`, each sample drawn once per period.
     #[inline]
     pub(crate) fn sample_index(&self, index: u64, dirty_epoch: u32) -> usize {
         let h = index
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(dirty_epoch % 63)
             .wrapping_add(dirty_epoch as u64);
-        let n = self.samples.len() as u64;
-        // `h & (n - 1)` equals `h % n` for powers of two, without the
-        // division.
-        (if n.is_power_of_two() { h & (n - 1) } else { h % n }) as usize
+        (h & (self.samples.len() as u64 - 1)) as usize
     }
 
     /// The sampled sizes, in sample-index order.
@@ -189,7 +200,7 @@ mod tests {
     #[test]
     fn sizes_are_deterministic_and_bounded() {
         let w = WorkloadProfile::by_name("pageRank").expect("known");
-        let m = SizeModel::sample(&w.page_content(7), 12);
+        let m = SizeModel::sample(&w.page_content(7), 16);
         for i in 0..100u64 {
             let s = m.sizes_of(i, 0);
             assert_eq!(s, m.sizes_of(i, 0));
@@ -212,7 +223,7 @@ mod tests {
     #[test]
     fn graph_ratios_match_calibration() {
         let w = WorkloadProfile::by_name("bfs").expect("known");
-        let m = SizeModel::sample(&w.page_content(3), 24);
+        let m = SizeModel::sample(&w.page_content(3), 32);
         let d = m.mean_deflate_ratio();
         let b = m.mean_block_ratio();
         assert!(d > b, "deflate {d} must beat block {b}");

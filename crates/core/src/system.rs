@@ -156,7 +156,8 @@ impl System {
 
     /// Builds the system, returning [`TmccError::InfeasibleBudget`] when
     /// the configured DRAM budget cannot hold the workload even fully
-    /// compressed.
+    /// compressed, and [`TmccError::SampleCountNotPowerOfTwo`], before
+    /// any sampling, when `size_samples` is not a power of two.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
         Self::try_new_cancellable(cfg, None)
     }
@@ -167,16 +168,14 @@ impl System {
     /// [`TmccError::Cancelled`] once it has been cancelled, and the built
     /// system keeps the handle attached for its run. The page table is
     /// built in O(1) and PTB embeddings materialize on first fetch. The
-    /// two-level scheme's ML1/ML2 placement is a closed form, but it is
-    /// found by one pass over the pages that start in ML2, so that stage
-    /// is still O(ML2 pages): about 0.1 s at 64 GiB and 1.7–2.9 s at
-    /// 1 TiB at the `capacity_cliff` budget (~190M ML2 pages). The pass
-    /// is uninterruptible — `TwoLevelScheme::try_new` is also called
-    /// directly, without a handle.
+    /// two-level scheme's ML1/ML2 placement is a closed form over one
+    /// window of `size_samples × 16` pages, so building it does not scale
+    /// with the footprint.
     pub fn try_new_cancellable(
         cfg: SystemConfig,
         handle: Option<&RunHandle>,
     ) -> Result<Self, TmccError> {
+        SizeModel::check_sample_count(cfg.size_samples)?;
         let poll = || match handle {
             Some(h) if h.is_cancelled() => Err(TmccError::Cancelled { at_access: 0 }),
             _ => Ok(()),
@@ -266,6 +265,12 @@ impl System {
 
     /// Smallest feasible DRAM budget in bytes for a workload under the
     /// two-level schemes (with the configuration's page size).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.size_samples` is not a power of two (see
+    /// [`SizeModel::sample_via`]; [`System::try_new`] reports it as an
+    /// error instead).
     pub fn min_budget_bytes(cfg: &SystemConfig) -> u64 {
         let pages = cfg.workload.sim_pages;
         let table_pages = PageTable::identity_table_pages(pages, cfg.huge_pages);
@@ -736,8 +741,7 @@ mod tests {
             .with(6_000, FaultKind::StaleEmbeddings { count: 40 })
             .with(9_000, FaultKind::ContentShift { percent: 40 })
             .with(12_000, FaultKind::GrowBudget { frames: 300 });
-        // 8 samples (a power of two, the periodic draw) and 12.
-        for (name, samples) in [("canneal", 8), ("kv_hostile", 12)] {
+        for (name, samples) in [("canneal", 8), ("kv_hostile", 16)] {
             for scheme in [SchemeKind::Tmcc, SchemeKind::OsInspired] {
                 for huge_pages in [false, true] {
                     let mut w = WorkloadProfile::by_name(name).expect("known workload");
@@ -759,6 +763,21 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_sample_counts_are_a_typed_error() {
+        use crate::tenancy::{MultiTenantConfig, MultiTenantSystem, QosPolicyKind, TenantSpec};
+        for samples in [0, 3, 12, 24] {
+            let err = TmccError::SampleCountNotPowerOfTwo { samples };
+            let cfg = small_config().with_size_samples(samples);
+            assert_eq!(System::try_new(cfg.clone()).err(), Some(err.clone()));
+            let spec = TenantSpec::new("t", cfg.workload, SchemeKind::Tmcc, 1);
+            let mt = MultiTenantConfig::new(1 << 14, QosPolicyKind::ProportionalShare)
+                .with_tenant(spec)
+                .with_size_samples(samples);
+            assert_eq!(MultiTenantSystem::try_new(mt).err(), Some(err));
         }
     }
 

@@ -51,6 +51,7 @@ use crate::config::{FaultKind, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::RunHandle;
 use crate::latency::LatencyHistogram;
+use crate::size_model::SizeModel;
 use crate::stats::RunReport;
 use crate::system::System;
 use rayon::prelude::*;
@@ -158,7 +159,8 @@ pub struct MultiTenantConfig {
     /// Scenario seed (combined with each tenant's seed salt).
     pub seed: u64,
     /// Size-model samples per tenant (see
-    /// [`SystemConfig::size_samples`]).
+    /// [`SystemConfig::size_samples`]); must be a power of two, or
+    /// construction fails with [`TmccError::SampleCountNotPowerOfTwo`].
     pub size_samples: usize,
     /// Audit arbiter + scheme invariants after every round.
     pub audit: bool,
@@ -377,6 +379,7 @@ impl MultiTenantSystem {
         cfg: MultiTenantConfig,
         handle: Option<&RunHandle>,
     ) -> Result<Self, TmccError> {
+        SizeModel::check_sample_count(cfg.size_samples)?;
         let mut churn = cfg.churn.events.clone();
         churn.sort_by_key(|e| e.at_access);
         let arbiter = CapacityArbiter::new(cfg.pool_frames, cfg.policy, cfg.roster.len());

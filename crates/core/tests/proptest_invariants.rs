@@ -135,6 +135,7 @@ proptest! {
             PageSizes { deflate_bytes: 500, block_bytes: 2000 },
             PageSizes { deflate_bytes: 1500, block_bytes: 3500 },
             PageSizes { deflate_bytes: 4096, block_bytes: 4096 },
+            PageSizes { deflate_bytes: 2600, block_bytes: 3000 },
         ]);
         for p in pages {
             prop_assert_eq!(model.sizes_of(p, epoch), model.sizes_of(p, epoch));

@@ -22,7 +22,6 @@
 //! (possible only for symbols rarer than `2^-root_bits`) fall back to a
 //! short sorted scan. Streams are bit-identical to the pre-table decoder's.
 
-use crate::PAGE_SIZE;
 use tmcc_compression::{BitReader, BitWriter, CodecError};
 
 /// Number of leaves in the reduced tree (15 hot symbols + escape).
@@ -576,12 +575,6 @@ impl FullHuffman {
 pub fn reduced_huffman_size(data: &[u8], max_depth: u32) -> usize {
     let tree = ReducedHuffman::build(data, max_depth);
     ReducedHuffman::TREE_BYTES + tree.encoded_bits(data).div_ceil(8)
-}
-
-/// Sanity guard used by tests: a page is never larger than this after
-/// escape-coding everything (tree + 17 bits/byte).
-pub fn worst_case_reduced_size() -> usize {
-    ReducedHuffman::TREE_BYTES + (PAGE_SIZE * 17).div_ceil(8)
 }
 
 #[cfg(test)]

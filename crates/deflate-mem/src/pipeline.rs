@@ -294,11 +294,6 @@ impl DeflateParams {
     pub fn depth(&self) -> u32 {
         self.max_tree_depth
     }
-
-    /// Whether dynamic Huffman skipping is enabled.
-    pub fn skip_enabled(&self) -> bool {
-        self.dynamic_skip
-    }
 }
 
 impl Default for DeflateParams {

@@ -17,7 +17,7 @@
 //!   64-byte block-level metadata entry used by Compresso-style designs.
 //! * [`addr`] — virtual/physical/DRAM address newtypes and geometry
 //!   constants.
-//! * [`bitvec`] / [`packed`] — succinct rank/select bitmaps and
+//! * [`bitvec`] / [`packed`] — succinct bitmaps and
 //!   fixed-width packed sequences backing the simulator's hot metadata
 //!   (free-slot maps, residency bits, CTE slot state) at datacenter-scale
 //!   page counts.
@@ -44,7 +44,7 @@ pub mod pte;
 pub use addr::{
     BlockAddr, DramAddr, PhysAddr, Ppn, VirtAddr, Vpn, BLOCKS_PER_PAGE, BLOCK_SIZE, PAGE_SIZE,
 };
-pub use bitvec::{BitVec, RankSelect};
+pub use bitvec::BitVec;
 pub use crc32::crc32;
 pub use cte::{BlockMetadata, Cte, MemoryLevel, TruncatedCte};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
